@@ -4,8 +4,8 @@ Subcommands expose the library (parameter report, set checking, enumeration,
 product construction, well-dominated recognition) plus a ``verify`` harness
 that runs the cross-check suites and prints one pass/fail line per claim.
 Exit codes: 0 for success or a positive verdict, 1 for a negative verdict,
-2 for usage, parse, or resource-cap errors.  All output is deterministic for
-fixed inputs, flags, and seed.
+2 for usage, parse, or resource-cap errors and for any other failure.  All
+output is deterministic for fixed inputs, flags, and seed.
 """
 
 from __future__ import annotations
@@ -309,6 +309,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (GraphParseError, EnumerationCapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 is the negative verdict, so no other failure may escape as it
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

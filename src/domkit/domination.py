@@ -12,7 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet, iter_bits, set_sort_key
+from .graphs import (
+    Graph,
+    VertexSet,
+    _check_universe,
+    _closed_union,
+    _open_union,
+    iter_bits,
+    set_sort_key,
+)
 from . import hypergraphs
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -33,27 +41,6 @@ def _check_cap(n: int, cap: int | None) -> None:
 def _require_nonempty(graph: Graph) -> None:
     if graph.n == 0:
         raise ValueError("operation undefined on the zero-vertex graph")
-
-
-def _check_universe(graph: Graph, s: VertexSet) -> None:
-    if s.universe_size != graph.n:
-        raise ValueError(
-            f"vertex set universe {s.universe_size} does not match graph order {graph.n}"
-        )
-
-
-def _closed_union(graph: Graph, mask: int) -> int:
-    out = 0
-    for v in iter_bits(mask):
-        out |= graph.closed_mask(v)
-    return out
-
-
-def _open_union(graph: Graph, mask: int) -> int:
-    out = 0
-    for v in iter_bits(mask):
-        out |= graph.adj_mask(v)
-    return out
 
 
 def is_dominating(graph: Graph, d: VertexSet) -> bool:
@@ -256,15 +243,21 @@ def _find_cover(graph: Graph, k: int, closed: bool) -> int | None:
     return rec(full, 0, k)
 
 
-def minimum_dominating_set(graph: Graph) -> VertexSet:
-    """A minimum dominating set, found by increasing-size bounded search."""
-    _require_nonempty(graph)
-    ub = _greedy_cover(graph, closed=True).bit_count()
+def _minimum_cover(graph: Graph, closed: bool) -> VertexSet:
+    """A smallest set whose (closed or open) neighborhoods cover all vertices,
+    by increasing-size bounded search up to the greedy bound."""
+    ub = _greedy_cover(graph, closed).bit_count()
     for k in range(1, ub + 1):
-        found = _find_cover(graph, k, closed=True)
+        found = _find_cover(graph, k, closed)
         if found is not None:
             return VertexSet.from_mask(graph.n, found)
     raise AssertionError("greedy bound must be attainable")
+
+
+def minimum_dominating_set(graph: Graph) -> VertexSet:
+    """A minimum dominating set, found by increasing-size bounded search."""
+    _require_nonempty(graph)
+    return _minimum_cover(graph, closed=True)
 
 
 def gamma(graph: Graph) -> int:
@@ -277,12 +270,7 @@ def minimum_total_dominating_set(graph: Graph) -> VertexSet:
     _require_nonempty(graph)
     if any(graph.adj_mask(v) == 0 for v in range(graph.n)):
         raise ValueError("total domination undefined: the graph has an isolated vertex")
-    ub = _greedy_cover(graph, closed=False).bit_count()
-    for k in range(1, ub + 1):
-        found = _find_cover(graph, k, closed=False)
-        if found is not None:
-            return VertexSet.from_mask(graph.n, found)
-    raise AssertionError("greedy bound must be attainable")
+    return _minimum_cover(graph, closed=False)
 
 
 def gamma_t(graph: Graph) -> int:
@@ -309,9 +297,10 @@ def _find_independent(graph: Graph, k: int) -> int | None:
     return rec(graph.full_mask, 0, k)
 
 
-def _greedy_independent(graph: Graph) -> int:
-    chosen = 0
-    blocked = 0
+def _greedy_independent(graph: Graph, seed_mask: int = 0) -> int:
+    """Extend ``seed_mask`` (an independent set) to a maximal one, ascending."""
+    chosen = seed_mask
+    blocked = _closed_union(graph, seed_mask)
     for v in range(graph.n):
         if not blocked >> v & 1:
             chosen |= 1 << v

@@ -5,11 +5,13 @@ The catalog is grown one vertex at a time: each representative on n-1
 vertices is extended by a new vertex attached to every possible neighborhood,
 and the results are deduplicated by a canonical edge-mask.  Levels are cached
 on disk (override the location with DOMKIT_CACHE_DIR) so the property suites
-stay reproducible and cheap on repeated runs.
+stay reproducible and cheap on repeated runs; a cached level is written
+atomically and regenerated when its size is not the known graph count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
 from random import Random
@@ -171,19 +173,43 @@ def _cache_dir() -> Path:
 
 _memo: dict[int, list[int]] = {}
 
+# OEIS A000088: the number of graphs on n unlabelled vertices.  A cached level
+# of any other size is damaged and gets regenerated.
+_LEVEL_SIZES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+
+
+def _read_level(cache_file: Path, n: int) -> list[int] | None:
+    """The cached level for n vertices, or None when missing or damaged."""
+    try:
+        masks = [int(tok, 16) for tok in cache_file.read_text().split()]
+    except (OSError, ValueError):
+        return None
+    if not masks or len(masks) != _LEVEL_SIZES.get(n, len(masks)):
+        return None
+    return masks
+
+
+def _write_level(cache_file: Path, masks: list[int]) -> None:
+    """Write a level through a temporary file, so readers never see a partial one."""
+    tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+    try:
+        cache_file.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text("\n".join(f"{m:x}" for m in masks) + "\n")
+        os.replace(tmp, cache_file)
+    except OSError:
+        # the cache only saves time; the level is still returned
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+
 
 def _catalog_masks(n: int) -> list[int]:
     if n in _memo:
         return _memo[n]
     cache_file = _cache_dir() / f"graphs_n{n}.txt"
-    if cache_file.is_file():
-        try:
-            masks = [int(tok, 16) for tok in cache_file.read_text().split()]
-        except ValueError:
-            masks = []  # corrupt cache entry, regenerate below
-        if masks:
-            _memo[n] = masks
-            return masks
+    masks = _read_level(cache_file, n)
+    if masks is not None:
+        _memo[n] = masks
+        return masks
     if n == 1:
         masks = [0]
     else:
@@ -199,11 +225,7 @@ def _catalog_masks(n: int) -> list[int]:
                     seen[acc] = _mask_from_canonical_acc(n, acc)
         masks = sorted(seen.values())
     _memo[n] = masks
-    try:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text("\n".join(f"{m:x}" for m in masks) + "\n")
-    except OSError:
-        pass
+    _write_level(cache_file, masks)
     return masks
 
 

@@ -4,11 +4,16 @@ Vertices are the integers 0..n-1.  Vertex sets are immutable bitmask wrappers
 that always iterate in ascending order, so every enumerator in the package can
 emit canonically sorted output.  Graphs are immutable after construction; all
 operations here are pure functions and safe to share across threads.
+
+This is also the bitmask kernel the other modules share: the vertex-set
+universe check, open and closed neighborhood unions of a mask, the ascending
+removal pass that shrinks a set while a property holds, and the skeleton of
+the edge-list document formats are each defined here once.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class GraphParseError(ValueError):
@@ -165,9 +170,10 @@ class Graph:
         return f"Graph({self.n}, {list(self.edges)})"
 
 
-def _int_tokens(line: str, line_no: int, expected: int, what: str) -> list[int]:
+def _int_tokens(line: str, line_no: int, expected: int | None, what: str) -> list[int]:
+    """The integers of one line; ``expected`` of them unless it is None."""
     tokens = line.split()
-    if len(tokens) != expected:
+    if expected is not None and len(tokens) != expected:
         raise GraphParseError(f"expected {expected} integers for {what}, got {line!r}", line_no)
     out = []
     for t in tokens:
@@ -176,6 +182,38 @@ def _int_tokens(line: str, line_no: int, expected: int, what: str) -> list[int]:
         except ValueError:
             raise GraphParseError(f"non-integer token {t!r} in {what}", line_no) from None
     return out
+
+
+def _parse_records(
+    text: str, parse: Callable[[str, int, int], object], noun: str, declared: str
+) -> tuple[int, list]:
+    """Skeleton shared by the edge-list formats.
+
+    Blank lines and lines starting with '#' are skipped anywhere; the first
+    other line is the header "n m", and exactly m record lines follow, each
+    turned into a record by ``parse(line, line_no, n)``.  ``noun`` names the
+    records in the count error, ``declared`` in the trailing-content error.
+    """
+    m: int | None = None
+    n = 0
+    records: list = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if m is None:
+            n, m = _int_tokens(line, line_no, 2, "header")
+            if n < 0 or m < 0:
+                raise GraphParseError("header counts must be non-negative", line_no)
+            continue
+        if len(records) == m:
+            raise GraphParseError(f"unexpected content after the declared {declared}", line_no)
+        records.append(parse(line, line_no, n))
+    if m is None:
+        raise GraphParseError("missing header line \"n m\"")
+    if len(records) != m:
+        raise GraphParseError(f"expected {m} {noun}, found {len(records)}")
+    return n, records
 
 
 def parse_graph(text: str) -> Graph:
@@ -187,22 +225,9 @@ def parse_graph(text: str) -> Graph:
     out-of-range indices, self-loops, and duplicate edges are rejected with
     the offending line number.
     """
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    n = m = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            n, m = _int_tokens(line, line_no, 2, "header")
-            if n < 0 or m < 0:
-                raise GraphParseError("header counts must be non-negative", line_no)
-            header = (n, m)
-            continue
-        if len(edges) == m:
-            raise GraphParseError("unexpected content after the declared edge list", line_no)
+
+    def edge(line: str, line_no: int, n: int) -> tuple[int, int]:
         u, v = _int_tokens(line, line_no, 2, "edge")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"edge ({u}, {v}) out of range for n={n}", line_no)
@@ -212,11 +237,9 @@ def parse_graph(text: str) -> Graph:
         if key in seen:
             raise GraphParseError(f"duplicate edge ({key[0]}, {key[1]})", line_no)
         seen.add(key)
-        edges.append(key)
-    if header is None:
-        raise GraphParseError("missing header line \"n m\"")
-    if len(edges) != m:
-        raise GraphParseError(f"expected {m} edges, found {len(edges)}")
+        return key
+
+    n, edges = _parse_records(text, edge, "edges", "edge list")
     return Graph(n, edges)
 
 
@@ -233,11 +256,41 @@ def _check_vertex(graph: Graph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for n={graph.n}")
 
 
-def _check_universe(graph: Graph, s: VertexSet) -> None:
-    if s.universe_size != graph.n:
+def _check_universe(owner, s: VertexSet) -> None:
+    """Reject a vertex set whose universe is not that of ``owner``, a graph or
+    a hypergraph (anything with a vertex count ``n``)."""
+    if s.universe_size != owner.n:
         raise ValueError(
-            f"vertex set universe {s.universe_size} does not match graph order {graph.n}"
+            f"vertex set universe {s.universe_size} does not match "
+            f"{type(owner).__name__.lower()} order {owner.n}"
         )
+
+
+def _open_union(graph: Graph, mask: int) -> int:
+    """Union of the open neighborhoods of the vertices in ``mask``."""
+    out = 0
+    for v in iter_bits(mask):
+        out |= graph.adj_mask(v)
+    return out
+
+
+def _closed_union(graph: Graph, mask: int) -> int:
+    """Union of the closed neighborhoods of the vertices in ``mask``."""
+    return _open_union(graph, mask) | mask
+
+
+def _minimalize(mask: int, holds: Callable[[int], bool]) -> int:
+    """Shrink ``mask`` by one ascending removal pass.
+
+    Each member, lowest first, is dropped when ``holds`` accepts the set
+    without it.  For a property preserved under supersets (domination,
+    hitting every hyperedge) the result is inclusion-minimal.
+    """
+    for v in iter_bits(mask):
+        smaller = mask ^ (1 << v)
+        if holds(smaller):
+            mask = smaller
+    return mask
 
 
 def open_neighborhood(graph: Graph, v: int) -> VertexSet:
@@ -255,10 +308,8 @@ def closed_neighborhood(graph: Graph, v: int) -> VertexSet:
 def neighborhood_of_set(graph: Graph, s: VertexSet, closed: bool = True) -> VertexSet:
     """Union of the (closed or open) neighborhoods of the members of ``s``."""
     _check_universe(graph, s)
-    mask = 0
-    for v in iter_bits(s.mask):
-        mask |= graph.closed_mask(v) if closed else graph.adj_mask(v)
-    return VertexSet.from_mask(graph.n, mask)
+    union = _closed_union if closed else _open_union
+    return VertexSet.from_mask(graph.n, union(graph, s.mask))
 
 
 def complement(graph: Graph) -> Graph:
@@ -281,9 +332,7 @@ def connected_components(graph: Graph) -> list[VertexSet]:
         comp = 1 << start
         frontier = comp
         while frontier:
-            grown = comp
-            for v in iter_bits(frontier):
-                grown |= graph.adj_mask(v)
+            grown = comp | _open_union(graph, frontier)
             frontier = grown & ~comp
             comp = grown
         out.append(VertexSet.from_mask(graph.n, comp))

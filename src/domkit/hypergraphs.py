@@ -4,8 +4,8 @@ This is the enumeration backend for minimal dominating sets (via the closed
 neighborhood hypergraph) and for the bounded-size recognition of graphs whose
 minimal dominating sets all share one size.  Enumeration is sequential
 edge-by-edge cross-product with intermediate minimization; the fixed-size
-decision avoids full enumeration by scanning small subsets and then searching
-for a transversal that dodges all of them.
+decision avoids full enumeration by scanning small subsets and then searching,
+with an explicit stack, for a transversal that dodges all of them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,16 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .graphs import GraphParseError, VertexSet, iter_bits, set_sort_key, _int_tokens
+from .graphs import (
+    GraphParseError,
+    VertexSet,
+    _check_universe,
+    _int_tokens,
+    _minimalize,
+    _parse_records,
+    iter_bits,
+    set_sort_key,
+)
 
 
 class Hypergraph:
@@ -44,12 +53,7 @@ class Hypergraph:
 
     def is_sperner(self) -> bool:
         """True when no hyperedge contains another (duplicates included)."""
-        masks = self.edge_masks
-        for i, a in enumerate(masks):
-            for j, b in enumerate(masks):
-                if i != j and a & ~b == 0:
-                    return False
-        return True
+        return len(_minimize(self.edge_masks)) == len(self.hyperedges)
 
     def __eq__(self, other) -> bool:
         return (
@@ -63,11 +67,6 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph({self.n}, {[list(e.members) for e in self.hyperedges]})"
-
-
-def _check_universe(h: Hypergraph, x: VertexSet) -> None:
-    if x.universe_size != h.n:
-        raise ValueError(f"vertex set universe {x.universe_size} does not match hypergraph {h.n}")
 
 
 def is_transversal(h: Hypergraph, x: VertexSet) -> bool:
@@ -140,16 +139,6 @@ def minimal_transversals_up_to_size(h: Hypergraph, k: int) -> list[VertexSet]:
     return out
 
 
-def _minimalize_transversal(h: Hypergraph, mask: int) -> int:
-    """Shrink a transversal to a minimal one by one ascending removal pass."""
-    masks = h.edge_masks
-    for v in iter_bits(mask):
-        smaller = mask ^ (1 << v)
-        if all(smaller & e for e in masks):
-            mask = smaller
-    return mask
-
-
 def all_minimal_transversals_have_size(
     h: Hypergraph, k: int
 ) -> tuple[bool, VertexSet | None]:
@@ -170,64 +159,42 @@ def all_minimal_transversals_have_size(
 
     edges = h.edge_masks
     n = h.n
+    full = (1 << n) - 1
 
-    def avoiding_transversal(i: int, included: int) -> int | None:
-        # Vertices < i are decided; prune when an edge can no longer be hit
-        # or the inclusions already contain a size-k minimal transversal.
-        undecided = ((1 << n) - 1) >> i << i
-        available = included | undecided
-        for e in edges:
-            if not e & available:
-                return None
+    # Depth-first over vertices in ascending order, excluding a vertex before
+    # including it.  A node (i, included) has decided the vertices < i; it is
+    # pruned when an edge can no longer be hit or the inclusions already
+    # contain a size-k minimal transversal.  The explicit stack keeps the
+    # depth off the interpreter's recursion limit.
+    stack = [(0, 0)]
+    while stack:
+        i, included = stack.pop()
+        available = included | (full >> i << i)
+        if any(not e & available for e in edges):
+            continue
         if any(m & ~included == 0 for m in size_k):
-            return None
+            continue
         if i == n:
-            return included
-        found = avoiding_transversal(i + 1, included)
-        if found is not None:
-            return found
-        return avoiding_transversal(i + 1, included | (1 << i))
-
-    deviant = avoiding_transversal(0, 0)
-    if deviant is None:
-        return True, None
-    witness = _minimalize_transversal(h, deviant)
-    return False, VertexSet.from_mask(n, witness)
+            witness = _minimalize(included, lambda m: all(m & e for e in edges))
+            return False, VertexSet.from_mask(n, witness)
+        stack.append((i + 1, included | (1 << i)))
+        stack.append((i + 1, included))
+    return True, None
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse a hyperedge-list document: "n m", then one line per hyperedge."""
-    header: tuple[int, int] | None = None
-    edges: list[list[int]] = []
-    n = m = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            n, m = _int_tokens(line, line_no, 2, "header")
-            if n < 0 or m < 0:
-                raise GraphParseError("header counts must be non-negative", line_no)
-            header = (n, m)
-            continue
-        if len(edges) == m:
-            raise GraphParseError("unexpected content after the declared hyperedges", line_no)
-        members = []
-        for t in line.split():
-            try:
-                members.append(int(t))
-            except ValueError:
-                raise GraphParseError(f"non-integer token {t!r} in hyperedge", line_no) from None
+
+    def hyperedge(line: str, line_no: int, n: int) -> list[int]:
+        members = _int_tokens(line, line_no, None, "hyperedge")
         if not members:
             raise GraphParseError("empty hyperedge", line_no)
         for v in members:
             if not 0 <= v < n:
                 raise GraphParseError(f"vertex {v} out of range for n={n}", line_no)
-        edges.append(members)
-    if header is None:
-        raise GraphParseError("missing header line \"n m\"")
-    if len(edges) != m:
-        raise GraphParseError(f"expected {m} hyperedges, found {len(edges)}")
+        return members
+
+    n, edges = _parse_records(text, hyperedge, "hyperedges", "hyperedges")
     return Hypergraph(n, edges)
 
 

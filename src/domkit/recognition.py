@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 from .graphs import (
     Graph,
     VertexSet,
+    _closed_union,
+    _minimalize,
+    _open_union,
     complement,
     connected_components,
     enumerate_triangles,
@@ -28,6 +31,7 @@ from .graphs import (
 )
 from .domination import (
     _check_cap,
+    _greedy_independent,
     _require_nonempty,
     enumerate_minimal_dominating_sets,
     gamma,
@@ -76,23 +80,6 @@ class RecognitionReport:
         }
 
 
-def _minimalize_dominating(graph: Graph, mask: int) -> VertexSet:
-    """Shrink a dominating set to a minimal one by one ascending removal pass."""
-    full = graph.full_mask
-
-    def covers(m: int) -> bool:
-        out = 0
-        for v in iter_bits(m):
-            out |= graph.closed_mask(v)
-        return out == full
-
-    for v in iter_bits(mask):
-        smaller = mask ^ (1 << v)
-        if covers(smaller):
-            mask = smaller
-    return VertexSet.from_mask(graph.n, mask)
-
-
 def is_well_dominated_enum(graph: Graph, cap: int | None = None) -> RecognitionReport:
     """Decide by enumerating all minimal dominating sets."""
     _require_nonempty(graph)
@@ -129,19 +116,6 @@ def is_well_covered_alpha2(graph: Graph) -> bool:
     return not enumerate_triangles(comp)
 
 
-def _greedy_maximal_independent(graph: Graph, seed_mask: int = 0) -> int:
-    """Extend ``seed_mask`` (an independent set) to a maximal one, ascending."""
-    chosen = seed_mask
-    blocked = seed_mask
-    for v in iter_bits(seed_mask):
-        blocked |= graph.adj_mask(v)
-    for v in range(graph.n):
-        if not blocked >> v & 1:
-            chosen |= 1 << v
-            blocked |= graph.closed_mask(v)
-    return chosen
-
-
 def is_well_dominated_gamma2(graph: Graph) -> RecognitionReport:
     """Polynomial test for "well-dominated with domination number two".
 
@@ -159,7 +133,7 @@ def is_well_dominated_gamma2(graph: Graph) -> RecognitionReport:
     cond_no_isolated = not isolated_vertices(comp).mask
     cond_a = cond_triangle_free and cond_no_isolated
 
-    violation: tuple[VertexSet, VertexSet] | None = None
+    violation: tuple[VertexSet, VertexSet, int] | None = None
     triangles = enumerate_triangles(graph)
     full = graph.full_mask
     for t in triangles:
@@ -168,15 +142,9 @@ def is_well_dominated_gamma2(graph: Graph) -> RecognitionReport:
                 continue
             if not induces_c6_complement(graph, t, t2):
                 continue
-            closed_t2 = 0
-            for v in iter_bits(t2.mask):
-                closed_t2 |= graph.closed_mask(v)
-            candidate = t.mask | (full & ~closed_t2)
-            covered = 0
-            for v in iter_bits(candidate):
-                covered |= graph.closed_mask(v)
-            if covered == full:
-                violation = (t, t2)
+            candidate = t.mask | (full & ~_closed_union(graph, t2.mask))
+            if _closed_union(graph, candidate) == full:
+                violation = (t, t2, candidate)
                 break
         if violation:
             break
@@ -198,26 +166,23 @@ def is_well_dominated_gamma2(graph: Graph) -> RecognitionReport:
             verdict=True, method="gamma2", gamma=2, common_size=2, notes=notes
         )
 
-    gamma_val = gamma(graph)
+    minimum = minimum_dominating_set(graph)
     small = large = None
-    if gamma_val == 2:
-        small = minimum_dominating_set(graph)
-        if violation is not None:
-            t, t2 = violation
-            closed_t2 = 0
-            for v in iter_bits(t2.mask):
-                closed_t2 |= graph.closed_mask(v)
-            large = _minimalize_dominating(graph, t.mask | (full & ~closed_t2))
+    if len(minimum) == 2:
+        small = minimum
+        if violation:
+            large_mask = _minimalize(violation[2], lambda m: _closed_union(graph, m) == full)
+            large = VertexSet.from_mask(graph.n, large_mask)
         elif comp_triangles:
             # a complement triangle is an independent triple; its maximal
             # extension is a minimal dominating set of size at least three
             large = VertexSet.from_mask(
-                graph.n, _greedy_maximal_independent(graph, comp_triangles[0].mask)
+                graph.n, _greedy_independent(graph, comp_triangles[0].mask)
             )
     return RecognitionReport(
         verdict=False,
         method="gamma2",
-        gamma=gamma_val,
+        gamma=len(minimum),
         witness_small=small,
         witness_large=large,
         notes=notes,
@@ -291,25 +256,6 @@ def _distance_two_triple(graph: Graph) -> tuple[int, int, int]:
     raise AssertionError("graph is complete or disconnected")
 
 
-def _preserving_reduction(graph: Graph, tmask: int) -> int:
-    """Inclusion-minimal subset of ``tmask`` with the same closed and open
-    neighborhood unions, by one ascending removal pass."""
-
-    def unions(m: int) -> tuple[int, int]:
-        c = o = 0
-        for v in iter_bits(m):
-            c |= graph.closed_mask(v)
-            o |= graph.adj_mask(v)
-        return c, o
-
-    target = unions(tmask)
-    for v in iter_bits(tmask):
-        smaller = tmask ^ (1 << v)
-        if unions(smaller) == target:
-            tmask = smaller
-    return tmask
-
-
 def _component_cover(fiber: Graph, sub: Graph, verts: tuple[int, ...],
                      fiber_gamma: int) -> list[tuple[int, int]]:
     """One minimal dominating set for the product of one base component."""
@@ -327,39 +273,47 @@ def _lex_witness_pair(
     components: list[tuple[VertexSet, Graph, tuple[int, ...]]],
     failing_index: int,
     fiber_report: RecognitionReport,
-    fiber_gamma: int,
-    cap: int | None,
+    sub_report: RecognitionReport | None,
 ) -> tuple[ProductSet, ProductSet]:
     """Two minimal dominating sets of different sizes for a failing product.
 
     Built entirely from factor-level computations: the failing component
     supplies the size gap, every other component is padded with one fixed
-    minimal dominating set of its own product.
+    minimal dominating set of its own product.  ``sub_report`` is the
+    recognition report of the failing base component, present whenever the
+    fiber graph is complete.
     """
     _, sub, verts = components[failing_index]
+    fiber_gamma = fiber_report.gamma
 
     if not fiber_report.verdict:
         a1 = fiber_report.witness_small
         a2 = fiber_report.witness_large
-        s = _greedy_maximal_independent(sub)
+        s = _greedy_independent(sub)
         d1 = [(verts[x], h) for x in iter_bits(s) for h in a1]
         d2 = [(verts[x], h) for x in iter_bits(s) for h in a2]
     elif fiber_gamma == 1:
-        sub_report = recognize(sub, cap)
+        # well-dominated with domination number one means complete
         h = _lowest_universal(fiber)
         d1 = [(verts[x], h) for x in sub_report.witness_small]
         d2 = [(verts[x], h) for x in sub_report.witness_large]
     elif fiber_gamma == 2:
         x, y, u = _distance_two_triple(sub)
-        s = _greedy_maximal_independent(sub, (1 << x) | (1 << y))
+        s = _greedy_independent(sub, (1 << x) | (1 << y))
         a = minimum_dominating_set(fiber)
-        reduced = _preserving_reduction(sub, s | (1 << u))
+        # one ascending removal pass down to a subset of s + u with the same
+        # closed and open neighborhood unions
+        t = s | (1 << u)
+        closed_t, open_t = _closed_union(sub, t), _open_union(sub, t)
+        reduced = _minimalize(
+            t, lambda m: _closed_union(sub, m) == closed_t and _open_union(sub, m) == open_t
+        )
         closed_u = sub.closed_mask(u)
         d1 = [(verts[v], h) for v in iter_bits(s) for h in a]
         d2 = [(verts[v], 0) for v in iter_bits(reduced & closed_u)]
         d2 += [(verts[v], h) for v in iter_bits(reduced & ~closed_u) for h in a]
     else:
-        s = _greedy_maximal_independent(sub)
+        s = _greedy_independent(sub)
         a = minimum_dominating_set(fiber)
         d1 = [(verts[v], h) for v in iter_bits(s) for h in a]
         d2 = [(verts[v], 0) for v in minimum_total_dominating_set(sub)]
@@ -395,19 +349,23 @@ def is_well_dominated_lex(
 
     fiber_report = recognize(fiber, cap)
     fiber_complete = is_complete(fiber)
-    fiber_gamma = gamma(fiber)
+    fiber_gamma = fiber_report.gamma
 
     components = [
         (comp,) + induced_subgraph(base, comp) for comp in connected_components(base)
     ]
     per_component = []
     failing_index: int | None = None
+    failing_report: RecognitionReport | None = None
     for idx, (comp, sub, _) in enumerate(components):
+        sub_report = None
         if sub.n == 1:
             ok = fiber_report.verdict
             condition = "fiber copy" if ok else None
         else:
-            cond_base_wd = fiber_complete and recognize(sub, cap).verdict
+            if fiber_complete:
+                sub_report = recognize(sub, cap)
+            cond_base_wd = sub_report is not None and sub_report.verdict
             cond_fiber_wd2 = (
                 is_complete(sub) and fiber_report.verdict and fiber_gamma == 2
             )
@@ -423,7 +381,7 @@ def is_well_dominated_lex(
             {"vertices": list(comp.members), "satisfied": ok, "condition": condition}
         )
         if not ok and failing_index is None:
-            failing_index = idx
+            failing_index, failing_report = idx, sub_report
 
     notes: dict = {
         "fiber_well_dominated": fiber_report.verdict,
@@ -443,13 +401,20 @@ def is_well_dominated_lex(
         )
 
     small, large = _lex_witness_pair(
-        base, fiber, components, failing_index, fiber_report, fiber_gamma, cap
+        base, fiber, components, failing_index, fiber_report, failing_report
     )
     flat_graph = lex_product(base, fiber).graph
     flat_small, flat_large = small.flatten(), large.flatten()
-    assert is_minimal_dominating(flat_graph, flat_small)
-    assert is_minimal_dominating(flat_graph, flat_large)
-    assert len(small) != len(large)
+    if not (
+        is_minimal_dominating(flat_graph, flat_small)
+        and is_minimal_dominating(flat_graph, flat_large)
+        and len(small) != len(large)
+    ):
+        raise RuntimeError(
+            "product witnesses failed their re-check: "
+            f"{list(small.pairs)} and {list(large.pairs)} are not minimal "
+            "dominating sets of different sizes"
+        )
     notes["witness_small_pairs"] = [list(p) for p in small.pairs]
     notes["witness_large_pairs"] = [list(p) for p in large.pairs]
     return RecognitionReport(

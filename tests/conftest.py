@@ -9,6 +9,14 @@ from domkit.families import (
 from domkit.graphs import Graph, VertexSet, complement
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _catalog_cache_dir(tmp_path_factory):
+    """Keep the graph catalog cache of a test run out of the user's home."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("DOMKIT_CACHE_DIR", str(tmp_path_factory.mktemp("domkit-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def p5():
     return path_graph(5)

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+import domkit.cli
 from domkit.cli import main
+from domkit.domination import is_minimal_dominating
 from domkit.families import cycle_graph, path_graph
-from domkit.graphs import parse_graph, write_graph
+from domkit.graphs import Graph, VertexSet, parse_graph, write_graph
 
 
 @pytest.fixture()
@@ -145,6 +147,22 @@ class TestWellDominated:
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"] is True and data["method"] == "gamma2"
 
+    def test_large_star_exits_with_a_verdict(self, tmp_path, capsys):
+        # domination number one sends K_{1,1100} to the bounded-size test,
+        # whose avoidance search is as deep as the graph is large
+        star = Graph(1101, [(0, i) for i in range(1, 1101)])
+        path = tmp_path / "star.el"
+        path.write_text(write_graph(star))
+        assert main(["well-dominated", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        data = json.loads(captured.out)
+        assert data["method"] == "bounded_k" and data["verdict"] is False
+        small = VertexSet(star.n, data["witness_small"])
+        large = VertexSet(star.n, data["witness_large"])
+        assert (len(small), len(large)) == (1, 1100)
+        assert is_minimal_dominating(star, small) and is_minimal_dominating(star, large)
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -158,6 +176,16 @@ class TestErrors:
 
     def test_usage_error(self):
         assert main(["no-such-command"]) == 2
+
+    def test_internal_failure_exits_two_not_one(self, p5_file, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(domkit.cli, "recognize", fail)
+        assert main(["well-dominated", p5_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: RecursionError: maximum recursion depth exceeded\n"
 
 
 class TestVerify:

@@ -121,3 +121,16 @@ class TestCatalog:
         monkeypatch.setattr(fam, "_memo", {})
         second = fam.nonisomorphic_graphs(4)
         assert first == second
+
+    def test_truncated_cache_level_is_regenerated(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DOMKIT_CACHE_DIR", str(tmp_path))
+        import domkit.families as fam
+
+        monkeypatch.setattr(fam, "_memo", {})
+        fam.nonisomorphic_graphs(6)
+        level = tmp_path / "graphs_n6.txt"
+        level.write_text("".join(level.read_text().splitlines(keepends=True)[:11]))
+        monkeypatch.setattr(fam, "_memo", {})
+        assert len(fam.nonisomorphic_graphs(6)) == KNOWN_COUNTS[6]
+        assert len(level.read_text().split()) == KNOWN_COUNTS[6]
+        assert [f.name for f in tmp_path.iterdir() if f.suffix == ".tmp"] == []

@@ -1,8 +1,13 @@
 """Well-dominated recognition: all methods, witnesses, and agreement."""
 
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
+
+import domkit
 
 from domkit import bruteforce
 from domkit.domination import gamma, is_minimal_dominating
@@ -215,6 +220,39 @@ class TestLexMethod:
             got = is_well_dominated_lex(base, fiber)
             want = is_well_dominated_enum(lex_product(base, fiber).graph)
             assert got.verdict == want.verdict
+
+
+BAD_WITNESS_SCRIPT = """
+import sys
+import domkit.recognition as rec
+from domkit.families import cycle_graph, path_graph
+from domkit.lexicographic import ProductSet
+
+assert sys.flags.optimize
+pairs = {pairs}
+rec._lex_witness_pair = lambda *args: tuple(ProductSet(4, 4, p) for p in pairs)
+try:
+    rec.is_well_dominated_lex(path_graph(4), cycle_graph(4))
+except RuntimeError as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [[(1, 0), (2, 0)], [(1, 0), (2, 0)]],  # minimal, but of equal sizes
+        [[(0, 0)], [(1, 0), (2, 0)]],  # the first set does not dominate
+    ],
+)
+def test_bad_lex_witnesses_raise_under_optimize(pairs):
+    src = str(Path(domkit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", BAD_WITNESS_SCRIPT.format(pairs=pairs)],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: product witnesses failed their re-check")
 
 
 class TestReportShape:
