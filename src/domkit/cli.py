@@ -39,7 +39,6 @@ from .recognition import (
     is_well_dominated_lex,
     recognize,
 )
-from .verification import SCALES, run_all_checks
 
 
 def _load_graph(path: str) -> Graph:
@@ -126,16 +125,25 @@ def _cmd_check_set(args) -> int:
     return 0 if results["dominating"] else 1
 
 
+# json.dumps holds one string per number until it joins them, so a long list
+# of sets peaks at about twenty times the size of its text; a batch at a time
+# bounds that peak
+_JSON_BATCH = 128
+
+
+def _json_sets(sets: list[VertexSet]) -> str:
+    """The text of ``json.dumps([list(s.members) for s in sets])``."""
+    rows = [s.members for s in sets]
+    batches = range(0, len(rows), _JSON_BATCH)
+    return "[" + ", ".join(json.dumps(rows[i : i + _JSON_BATCH])[1:-1] for i in batches) + "]"
+
+
 def _cmd_enumerate_mds(args) -> int:
     graph = _load_graph(args.graph)
     sets = enumerate_minimal_dominating_sets(graph, args.cap)
     if args.json:
-        print(
-            json.dumps(
-                {"count": len(sets), "sets": [list(s.members) for s in sets]},
-                sort_keys=True,
-            )
-        )
+        # the text of json.dumps({"count": ..., "sets": ...}, sort_keys=True)
+        print(f'{{"count": {len(sets)}, "sets": {_json_sets(sets)}}}')
     else:
         print(f"minimal dominating sets: {len(sets)}")
         for s in sets:
@@ -212,6 +220,10 @@ def _cmd_well_dominated(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported on use: the check suites pull in the graph catalogue and the
+    # brute-force oracles, which no other subcommand needs
+    from .verification import run_all_checks
+
     results = run_all_checks(args.scale, args.seed)
     all_passed = all(r.passed for r in results)
     if args.json:
@@ -291,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_well_dominated)
 
     p = sub.add_parser("verify", help="run the cross-check scoreboard")
-    p.add_argument("--scale", choices=sorted(SCALES), default="small")
+    # the keys of verification.SCALES, spelled out to keep that import deferred
+    p.add_argument("--scale", choices=("full", "small"), default="small")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="structured output")
     p.set_defaults(func=_cmd_verify)

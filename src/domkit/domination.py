@@ -218,29 +218,30 @@ def _greedy_cover(graph: Graph, closed: bool) -> int:
 
 
 def _find_cover(graph: Graph, k: int, closed: bool) -> int | None:
-    """Search for a set of size <= k whose neighborhoods cover all vertices.
+    """Search for a set of size <= k (k >= 1) whose neighborhoods cover all vertices.
 
     Branches on the neighborhood of the lowest uncovered vertex: any covering
     set must contain one of its (closed) neighbors, so the search is complete
-    with depth at most k.
+    with depth at most k.  A frame is a node plus the branch vertices it has
+    yet to try; the lowest is tried first and its subtree searched before the
+    next, so the explicit stack returns the same cover as a recursive search.
     """
     cover = graph.closed_mask if closed else graph.adj_mask
-    full = graph.full_mask
-
-    def rec(uncovered: int, chosen: int, remaining: int) -> int | None:
-        if not uncovered:
-            return chosen
-        if remaining == 0:
-            return None
-        v = (uncovered & -uncovered).bit_length() - 1
-        # by symmetry, u covers v exactly when u lies in cover(v)
-        for u in iter_bits(cover(v)):
-            found = rec(uncovered & ~cover(u), chosen | (1 << u), remaining - 1)
-            if found is not None:
-                return found
-        return None
-
-    return rec(full, 0, k)
+    # by symmetry, u covers v exactly when u lies in cover(v)
+    stack = [(graph.full_mask, 0, k, cover(0))]
+    while stack:
+        uncovered, chosen, remaining, options = stack.pop()
+        if not options:
+            continue
+        low = options & -options
+        stack.append((uncovered, chosen, remaining, options ^ low))
+        left = uncovered & ~cover(low.bit_length() - 1)
+        if not left:
+            return chosen | low
+        if remaining > 1:
+            v = (left & -left).bit_length() - 1
+            stack.append((left, chosen | low, remaining - 1, cover(v)))
+    return None
 
 
 def _minimum_cover(graph: Graph, closed: bool) -> VertexSet:
@@ -279,22 +280,24 @@ def gamma_t(graph: Graph) -> int:
 
 
 def _find_independent(graph: Graph, k: int) -> int | None:
-    """Search for an independent set of size exactly k, ascending vertex order."""
+    """Search for an independent set of size exactly k >= 1, ascending vertex order.
 
-    def rec(allowed: int, chosen: int, need: int) -> int | None:
-        if need == 0:
-            return chosen
+    A frame offers its lowest allowed vertex as the next member; the subtree
+    that takes it is searched before the frame offers its next vertex.
+    """
+    stack = [(graph.full_mask, 0, k)]
+    while stack:
+        allowed, chosen, need = stack.pop()
         if allowed.bit_count() < need:
-            return None
-        while allowed:
-            v = (allowed & -allowed).bit_length() - 1
-            allowed ^= 1 << v
-            found = rec(allowed & ~graph.adj_mask(v), chosen | (1 << v), need - 1)
-            if found is not None:
-                return found
-        return None
-
-    return rec(graph.full_mask, 0, k)
+            continue
+        low = allowed & -allowed
+        allowed ^= low
+        if need == 1:
+            return chosen | low
+        stack.append((allowed, chosen, need))
+        v = low.bit_length() - 1
+        stack.append((allowed & ~graph.adj_mask(v), chosen | low, need - 1))
+    return None
 
 
 def _greedy_independent(graph: Graph, seed_mask: int = 0) -> int:

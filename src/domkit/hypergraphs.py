@@ -2,10 +2,11 @@
 
 This is the enumeration backend for minimal dominating sets (via the closed
 neighborhood hypergraph) and for the bounded-size recognition of graphs whose
-minimal dominating sets all share one size.  Enumeration is sequential
-edge-by-edge cross-product with intermediate minimization; the fixed-size
-decision avoids full enumeration by scanning small subsets and then searching,
-with an explicit stack, for a transversal that dodges all of them.
+minimal dominating sets all share one size.  Enumeration is the depth-first
+MMCS search of Murakami and Uno (Discrete Appl. Math., 2014), which builds no
+intermediate families; the fixed-size decision avoids full enumeration by
+scanning small subsets and then searching, with an explicit stack, for a
+transversal that dodges all of them.
 """
 
 from __future__ import annotations
@@ -108,22 +109,35 @@ def sperner_reduce(h: Hypergraph) -> Hypergraph:
 def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
     """All minimal transversals, canonically ordered.
 
-    Hyperedges are processed in ascending size order, extending the running
-    family one edge at a time and re-minimizing after each step; this keeps the
-    intermediate families small on closed-neighborhood hypergraphs.
+    MMCS with an explicit stack: branch on the uncovered edge with the fewest
+    candidates; the child that adds v may later add only the vertices of that
+    edge tried before v, so each transversal is reached once.  A child is
+    skipped when a member would lose its last critical edge (one that it
+    alone hits), which no superset regains.
     """
-    edges = sorted(set(h.edge_masks), key=lambda m: (m.bit_count(), m))
-    family = [0]
-    for e in edges:
-        candidates = [t for t in family if t & e]
-        for t in family:
-            if not t & e:
-                for v in iter_bits(e):
-                    candidates.append(t | (1 << v))
-        family = _minimize(candidates)
-    out = [VertexSet.from_mask(h.n, m) for m in family]
-    out.sort(key=set_sort_key)
-    return out
+    edges = sorted(set(h.edge_masks))
+    incidence = [0] * h.n
+    for i, e in enumerate(edges):
+        for v in iter_bits(e):
+            incidence[v] |= 1 << i
+    found = []
+    # frame: the set, each member's critical edges, uncovered edges, candidates
+    stack = [(0, [], (1 << len(edges)) - 1, (1 << h.n) - 1)]
+    while stack:
+        chosen, crit, uncov, cand = stack.pop()
+        if not uncov:
+            found.append(chosen)
+            continue
+        branch = min((edges[i] & cand for i in iter_bits(uncov)), key=int.bit_count)
+        cand &= ~branch
+        for v in iter_bits(branch):
+            hit = incidence[v]
+            kept = [c & ~hit for c in crit]
+            if 0 not in kept:
+                kept.append(uncov & hit)
+                stack.append((chosen | 1 << v, kept, uncov & ~hit, cand))
+            cand |= 1 << v
+    return sorted((VertexSet.from_mask(h.n, m) for m in found), key=set_sort_key)
 
 
 def minimal_transversals_up_to_size(h: Hypergraph, k: int) -> list[VertexSet]:

@@ -342,16 +342,20 @@ def gamma_product(base: Graph, fiber: Graph) -> int:
     """
     if base.n == 0 or fiber.n == 0:
         raise ValueError("both factors must have at least one vertex")
+    return _gamma_product(base, fiber, gamma(fiber))
+
+
+def _gamma_product(base: Graph, fiber: Graph, fiber_gamma: int) -> int:
+    """:func:`gamma_product` for nonempty factors, given the fiber's domination number."""
     if is_edgeless(base):
-        return base.n * gamma(fiber)
-    gh = gamma(fiber)
-    if gh == 1:
+        return base.n * fiber_gamma
+    if fiber_gamma == 1:
         return gamma(base)
     iso = isolated_vertices(base)
     core, _ = induced_subgraph(
         base, VertexSet.from_mask(base.n, base.full_mask & ~iso.mask)
     )
-    return gamma_t(core) + len(iso) * gh
+    return gamma_t(core) + len(iso) * fiber_gamma
 
 
 def upper_gamma_product_bound(

@@ -480,8 +480,8 @@ def check_method_agreement(scale: Scale, rng: Random) -> CheckResult:
 
 
 def check_transversal_machinery(scale: Scale, rng: Random) -> CheckResult:
-    """Sequential transversal enumeration against subset brute force, the
-    self-duality involution, and the fixed-size decision."""
+    """Transversal enumeration against subset brute force, the self-duality
+    involution, and the fixed-size decision."""
     bad = 0
     instances = 0
     first_failure = ""

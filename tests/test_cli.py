@@ -1,12 +1,17 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import domkit
 import domkit.cli
-from domkit.cli import main
-from domkit.domination import is_minimal_dominating
+from domkit.cli import build_parser, main
+from domkit.domination import enumerate_minimal_dominating_sets, is_minimal_dominating
 from domkit.families import cycle_graph, path_graph
 from domkit.graphs import Graph, VertexSet, parse_graph, write_graph
 
@@ -56,6 +61,16 @@ class TestStats:
         assert main(["stats", str(path)]) == 0
         assert "gamma_t=undefined" in capsys.readouterr().out
 
+    def test_large_edgeless_graph_hits_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "edgeless.el"
+        path.write_text(write_graph(Graph(1100)))
+        assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: graph has 1100 vertices, above the enumeration cap 24\n"
+        )
+
 
 class TestCheckSet:
     def test_dominating_set(self, p5_file, capsys):
@@ -84,6 +99,17 @@ class TestEnumerate:
 
     def test_cap(self, c4_file, capsys):
         assert main(["enumerate-mds", c4_file, "--cap", "2"]) == 2
+
+    @pytest.mark.parametrize("n, batch", [(4, 1), (4, 6), (4, 128), (22, 128)])
+    def test_json_is_the_text_of_json_dumps(self, n, batch, tmp_path, monkeypatch, capsys):
+        # C4 has 6 sets and C22 has 1674, so batches end both on and off the last set
+        monkeypatch.setattr(domkit.cli, "_JSON_BATCH", batch)
+        path = tmp_path / "cycle.el"
+        path.write_text(write_graph(cycle_graph(n)))
+        assert main(["enumerate-mds", str(path), "--json"]) == 0
+        sets = [list(s.members) for s in enumerate_minimal_dominating_sets(cycle_graph(n))]
+        want = json.dumps({"count": len(sets), "sets": sets}, sort_keys=True)
+        assert capsys.readouterr().out == want + "\n"
 
 
 class TestProduct:
@@ -196,6 +222,24 @@ class TestVerify:
         assert "result: 15/15 checks passed" in first
         assert main(["verify", "--scale", "small"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_scale_choices_are_the_suite_scales(self):
+        from domkit import verification
+
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        scale = next(a for a in sub.choices["verify"]._actions if a.dest == "scale")
+        assert list(scale.choices) == sorted(verification.SCALES)
+
+    def test_cli_import_leaves_the_suite_unloaded(self):
+        src = str(Path(domkit.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, domkit.cli; print('domkit.verification' in sys.modules)"],
+            capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+        )
+        assert done.stdout == "False\n", done.stderr
 
     def test_json(self, capsys):
         assert main(["verify", "--scale", "small", "--json"]) == 0

@@ -201,6 +201,10 @@ class TestParameters:
             if all(g.adj_mask(v) for v in range(g.n)):
                 assert gamma_t(g) == bruteforce.gamma_t(g)
 
+    def test_searches_deeper_than_the_recursion_limit(self):
+        assert gamma(Graph(1100)) == 1100
+        assert alpha(Graph(1101, [(0, i) for i in range(1, 1101)])) == 1100
+
     @given(graphs(max_n=7))
     @settings(max_examples=100, deadline=None)
     def test_parameter_order(self, g):

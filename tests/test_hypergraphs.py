@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from domkit import bruteforce
 from domkit.families import cycle_graph, path_graph, random_sperner_hypergraph
-from domkit.domination import neighborhood_hypergraph
+from domkit.domination import (
+    enumerate_minimal_dominating_sets,
+    is_minimal_dominating,
+    neighborhood_hypergraph,
+)
 from domkit.graphs import GraphParseError, VertexSet
 from domkit.hypergraphs import (
     Hypergraph,
@@ -87,6 +91,20 @@ class TestEnumeration:
     def test_single_edge(self):
         h = Hypergraph(1, [[0]])
         assert [x.members for x in enumerate_minimal_transversals(h)] == [(0,)]
+
+    def test_edgeless_hypergraphs(self):
+        for n in (0, 2):
+            assert enumerate_minimal_transversals(Hypergraph(n, [])) == [VertexSet(n)]
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        h = Hypergraph(1100, [[v] for v in range(1100)])
+        assert enumerate_minimal_transversals(h) == [VertexSet(1100, range(1100))]
+
+    def test_c22_past_brute_force(self):
+        c22 = cycle_graph(22)
+        sets = enumerate_minimal_dominating_sets(c22)
+        assert len(set(sets)) == len(sets) == 1674
+        assert all(is_minimal_dominating(c22, d) for d in sets)
 
     def test_c4_neighborhoods(self):
         h = neighborhood_hypergraph(cycle_graph(4))

@@ -202,6 +202,19 @@ class TestLexMethod:
         report = is_well_dominated_lex(disjoint_union(Graph(1), complete_graph(2)), c7)
         assert not report.verdict
 
+    def test_fiber_domination_number_computed_once(self, monkeypatch):
+        searched = []
+
+        def recording_gamma(graph):
+            searched.append(graph)
+            return gamma(graph)
+
+        monkeypatch.setattr("domkit.lexicographic.gamma", recording_gamma)
+        fiber = cycle_graph(4)
+        report = is_well_dominated_lex(path_graph(4), fiber)
+        assert report.gamma == 2
+        assert fiber not in searched
+
     def test_matches_flat_recognition_small(self):
         connected = [g for n in (2, 3) for g in nonisomorphic_graphs(n, connected=True)]
         fibers = [g for n in (2, 3) for g in nonisomorphic_graphs(n)]
