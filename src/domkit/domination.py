@@ -365,39 +365,42 @@ def enumerate_irreducible_dominating_sets(
     pruned once some vertex can no longer be dominated, or once a committed
     member can no longer end up with a private closed neighbor or a leaf
     neighbor (both conditions only get harder as the set grows, so the prune
-    is sound); each completed leaf is then checked exactly.
+    is sound); each completed leaf is then checked exactly.  The search runs
+    on an explicit stack, so its depth is not limited by the recursion limit.
     """
     _require_nonempty(graph)
     _check_cap(graph.n, cap)
     n = graph.n
     full = graph.full_mask
+    closed = [graph.closed_mask(v) for v in range(n)]
+    adj = [graph.adj_mask(v) for v in range(n)]
     out: list[VertexSet] = []
 
     def support_possible(u: int, dmask: int, not_excluded: int) -> bool:
-        bu = 1 << u
-        for v in iter_bits(graph.closed_mask(u)):
-            if graph.closed_mask(v) & dmask & ~bu == 0:
+        others = dmask & ~(1 << u)
+        for v in iter_bits(closed[u]):
+            if not closed[v] & others:
                 return True
-        for w in iter_bits(graph.adj_mask(u) & not_excluded):
-            if graph.adj_mask(w) & dmask & ~bu == 0:
+        for w in iter_bits(adj[u] & not_excluded):
+            if not adj[w] & others:
                 return True
         return False
 
-    def rec(i: int, dmask: int) -> None:
+    # A frame is (next vertex to decide, members so far).  Exclusion is
+    # pushed last, so it is searched first, as in a recursive search.
+    stack = [(0, 0)]
+    while stack:
+        i, dmask = stack.pop()
         available = dmask | (full >> i << i)
-        for v in range(n):
-            if not graph.closed_mask(v) & available:
-                return
-        for u in iter_bits(dmask):
-            if not support_possible(u, dmask, available):
-                return
+        if not all(c & available for c in closed):
+            continue
+        if not all(support_possible(u, dmask, available) for u in iter_bits(dmask)):
+            continue
         if i == n:
             if _is_irreducible_mask(graph, dmask):
                 out.append(VertexSet.from_mask(n, dmask))
-            return
-        rec(i + 1, dmask)
-        rec(i + 1, dmask | (1 << i))
-
-    rec(0, 0)
+            continue
+        stack.append((i + 1, dmask | (1 << i)))
+        stack.append((i + 1, dmask))
     out.sort(key=set_sort_key)
     return out

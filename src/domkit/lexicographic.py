@@ -25,6 +25,8 @@ from .graphs import (
 )
 from .domination import (
     _check_cap,
+    _leaves_mask,
+    _redundant_mask,
     classify,
     enumerate_irreducible_dominating_sets,
     enumerate_minimal_dominating_sets,
@@ -108,6 +110,25 @@ class ProductSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("ProductSet is immutable")
+
+    @classmethod
+    def _from_sorted_pairs(
+        cls, base_n: int, fiber_n: int, pairs: tuple[tuple[int, int], ...]
+    ) -> "ProductSet":
+        """Wrap pairs that are already in canonical form, without checking them.
+
+        Precondition: ``pairs`` is a tuple of ``(g, h)`` int tuples, strictly
+        ascending (so sorted and duplicate-free), with ``0 <= g < base_n`` and
+        ``0 <= h < fiber_n``.  The result then equals
+        ``ProductSet(base_n, fiber_n, pairs)``; the caller is responsible for
+        the precondition, which is what lets the product enumerator skip the
+        sort and the per-pair checks of the public constructor.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "base_n", base_n)
+        object.__setattr__(self, "fiber_n", fiber_n)
+        object.__setattr__(self, "pairs", pairs)
+        return self
 
     @classmethod
     def from_flat(cls, product: ProductGraph, flat: VertexSet) -> "ProductSet":
@@ -268,6 +289,69 @@ def check_minimal_product(product: ProductGraph, d: ProductSet) -> ProductMinima
     return ProductMinimalityReport(cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii)
 
 
+def _pair_blocks(
+    base_n: int, fiber_n: int, x: int, options: Iterable[tuple[int, ...]]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """One block per option: the pairs (x, h) for the option's ascending h.
+
+    Every pair is range-checked here, once, so that sets concatenated from
+    these blocks meet the precondition of :meth:`ProductSet._from_sorted_pairs`.
+    """
+    blocks = tuple(tuple((x, h) for h in option) for option in options)
+    for block in blocks:
+        for g, h in block:
+            if not (0 <= g < base_n and 0 <= h < fiber_n):
+                raise ValueError(f"pair ({g}, {h}) outside the product universe")
+    return blocks
+
+
+def _concatenations(choice_lists: list) -> list[tuple[tuple[int, int], ...]]:
+    """Every concatenation of one block from each list, in product order."""
+    prefixes: list[tuple[tuple[int, int], ...]] = [()]
+    for blocks in choice_lists:
+        prefixes = [prefix + block for prefix in prefixes for block in blocks]
+    return prefixes
+
+
+def _leaf_admissible(
+    base: Graph, p: VertexSet, choice_lists: list, universal: list[bool]
+) -> list[list]:
+    """Restrictions of ``choice_lists`` (one per member of ``p``) to the leaf condition.
+
+    Every redundant member of ``p`` needs a leaf neighbor whose fiber vertex
+    is not universal.  Leaves are totally dominated, so their blocks are
+    single pairs.  Each leaf the condition names is either restricted to its
+    universal or to its other fiber vertices, and the condition is tested
+    once per such pattern; the patterns are disjoint, so every admissible
+    combination lies under exactly one returned restriction.
+    """
+    leaves = _leaves_mask(base, p.mask)
+    supports = [base.adj_mask(r) & leaves for r in iter_bits(_redundant_mask(base, p.mask))]
+    if not supports:
+        return [choice_lists]
+    union = 0
+    for s in supports:
+        union |= s
+    named = tuple(iter_bits(union))
+    position = {x: i for i, x in enumerate(p.members)}
+    out = []
+    for kinds in itertools.product((False, True), repeat=len(named)):
+        # kinds[i]: leaf named[i] gets a universal fiber vertex
+        free = 0
+        for y, is_universal in zip(named, kinds):
+            if not is_universal:
+                free |= 1 << y
+        if not all(s & free for s in supports):
+            continue
+        lists = list(choice_lists)
+        for y, is_universal in zip(named, kinds):
+            i = position[y]
+            lists[i] = [b for b in lists[i] if universal[b[0][1]] == is_universal]
+        if all(lists):
+            out.append(lists)
+    return out
+
+
 def enumerate_minimal_dominating_sets_product(
     base: Graph, fiber: Graph, cap: int | None = None
 ) -> list[ProductSet]:
@@ -282,6 +366,14 @@ def enumerate_minimal_dominating_sets_product(
     condition holds automatically).  The output equals brute-force
     minimal-dominating enumeration on the flattened product.
 
+    Each member x contributes a block of pairs (x, h) per allowed option,
+    built and range-checked once per vertex and shared by every set that
+    uses it.  Leaves are totally dominated, so their options are single
+    fiber vertices; the leaf condition depends only on which of them are
+    universal, and is tested once per such pattern of the leaves it names
+    rather than once per set.  Members ascend and each option ascends, so a
+    set's pairs are the concatenation of its blocks, already canonical.
+
     The cap guards the factor sizes, not the flattened size, so products far
     beyond the flattened enumeration range stay reachable.
     """
@@ -290,42 +382,28 @@ def enumerate_minimal_dominating_sets_product(
     _check_cap(base.n, cap)
     _check_cap(fiber.n, cap)
 
-    fiber_mds = enumerate_minimal_dominating_sets(fiber, cap)
-    singles = [VertexSet(fiber.n, (h,)) for h in range(fiber.n)]
-    universal = [fiber.closed_mask(h) == fiber.full_mask for h in range(fiber.n)]
+    base_n, fiber_n = base.n, fiber.n
+    fiber_sets = [d.members for d in enumerate_minimal_dominating_sets(fiber, cap)]
+    universal = [fiber.closed_mask(h) == fiber.full_mask for h in range(fiber_n)]
     any_universal = any(universal)
-
+    # (x, totally dominated) -> x's blocks, shared by every set that uses them
+    blocks: dict[tuple[int, bool], tuple] = {}
+    new = ProductSet._from_sorted_pairs
     out: list[ProductSet] = []
     for p in enumerate_irreducible_dominating_sets(base, cap):
-        info = classify(base, p)
-        members = p.members
         choice_lists = []
-        for x in members:
-            if base.adj_mask(x) & p.mask:
-                choice_lists.append(singles)
-            else:
-                choice_lists.append(fiber_mds)
-        redundant = info.redundant.members
-        leaf_sets = {
-            r: tuple(iter_bits(base.adj_mask(r) & info.leaves.mask)) for r in redundant
-        }
-        index_of = {x: i for i, x in enumerate(members)}
-        for assignment in itertools.product(*choice_lists):
-            if any_universal and redundant:
-                ok = True
-                for r in redundant:
-                    if not any(
-                        not universal[assignment[index_of[y]].members[0]]
-                        for y in leaf_sets[r]
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            pairs = [
-                (x, h) for x, chosen in zip(members, assignment) for h in chosen
-            ]
-            out.append(ProductSet(base.n, fiber.n, pairs))
+        for x in p.members:
+            key = (x, bool(base.adj_mask(x) & p.mask))
+            if key not in blocks:
+                options = [(h,) for h in range(fiber_n)] if key[1] else fiber_sets
+                blocks[key] = _pair_blocks(base_n, fiber_n, x, options)
+            choice_lists.append(blocks[key])
+        if any_universal:
+            combos = _leaf_admissible(base, p, choice_lists, universal)
+        else:
+            combos = [choice_lists]
+        for lists in combos:
+            out.extend([new(base_n, fiber_n, pairs) for pairs in _concatenations(lists)])
     out.sort(key=lambda ps: (len(ps), ps.pairs))
     return out
 
@@ -365,8 +443,9 @@ def upper_gamma_product_bound(
 
     Returns (bound, holds) where ``holds`` reports whether the product's upper
     domination number, taken as the largest set from the constructive
-    enumeration, is at least the bound.  Expected to hold always.
+    enumeration, is at least the bound.  Expected to hold always.  The
+    enumeration is sorted by size, so the largest set is the last one.
     """
     bound = alpha(base) * upper_gamma(fiber, cap)
-    observed = max(len(d) for d in enumerate_minimal_dominating_sets_product(base, fiber, cap))
+    observed = len(enumerate_minimal_dominating_sets_product(base, fiber, cap)[-1])
     return bound, observed >= bound

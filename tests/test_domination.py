@@ -257,6 +257,10 @@ class TestEnumerators:
             g
         ) == bruteforce.irreducible_dominating_sets(g)
 
+    def test_irreducible_searches_deeper_than_the_recursion_limit(self):
+        got = enumerate_irreducible_dominating_sets(edgeless_graph(1100), cap=1100)
+        assert got == [VertexSet.from_mask(1100, (1 << 1100) - 1)]
+
     def test_every_minimal_set_is_enumerated_as_irreducible(self):
         rng = Random(5)
         for _ in range(20):

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from domkit import bruteforce
 from domkit.domination import (
     EnumerationCapExceeded,
+    enumerate_irreducible_dominating_sets,
+    enumerate_minimal_dominating_sets,
     gamma_t,
     is_dominating,
+    is_irreducible_dominating,
     is_minimal_dominating,
 )
 from domkit.families import (
@@ -38,6 +41,21 @@ from domkit.lexicographic import (
 @pytest.fixture(scope="module")
 def p5p3():
     return lex_product(path_graph(5), path_graph(3))
+
+
+def star_graph(leaves):
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def spider_graph(*legs):
+    """A center 0 with one path per entry of ``legs``, of that many edges."""
+    edges, n = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph(n, edges)
 
 
 def small_products(max_base=3, max_fiber=3):
@@ -238,6 +256,60 @@ class TestEnumerator:
                     )
                     assert got == want
 
+    def test_matches_flat_enumeration_in_order(self):
+        # bases whose irreducible sets have redundant members with leaf
+        # neighbours: P4-P6 and spiders; also C5 and the star K1,3
+        bases = [path_graph(4), path_graph(5), path_graph(6), cycle_graph(5), star_graph(3),
+                 spider_graph(2, 1, 1), spider_graph(2, 2, 1), spider_graph(2, 2, 2)]
+        # fibers with a universal vertex (K1, K2, K3, P3, K1,3) and without one
+        fibers = [complete_graph(1), edgeless_graph(2), complete_graph(2), complete_graph(3),
+                  path_graph(3), star_graph(3), cycle_graph(4), path_graph(4)]
+        for n in range(1, 6):
+            bases += nonisomorphic_graphs(n)
+            fibers += nonisomorphic_graphs(n) if n <= 3 else []
+        checked = 0
+        for base in bases:
+            for fiber in fibers:
+                if base.n * fiber.n > 18:
+                    continue
+                got = [d.flatten() for d in enumerate_minimal_dominating_sets_product(base, fiber)]
+                assert got == enumerate_minimal_dominating_sets(lex_product(base, fiber).graph)
+                checked += 1
+        assert checked == 774
+
+    def test_leaf_condition_on_p5_p3(self):
+        # P5 has the irreducible set {1, 2, 3}: 2 is redundant, 1 and 3 are
+        # its leaf neighbours, so a universal fiber vertex must be avoided
+        p = VertexSet(5, [1, 2, 3])
+        assert is_irreducible_dominating(path_graph(5), p)
+        assert p in enumerate_irreducible_dominating_sets(path_graph(5))
+        sets = enumerate_minimal_dominating_sets_product(path_graph(5), path_graph(3))
+        over_p = [d for d in sets if d.projection() == p]
+        # every member is totally dominated, so each gets one of P3's three
+        # vertices; 1 and 3 may not both get the universal centre
+        assert len(over_p) == 3 * (3 * 3 - 1)
+
+    def test_enumerated_sets_are_canonical(self):
+        for base, fiber in [
+            (path_graph(5), path_graph(3)),
+            (spider_graph(2, 2, 1), complete_graph(3)),
+            (cycle_graph(5), cycle_graph(4)),
+            (star_graph(3), star_graph(3)),
+            (edgeless_graph(2), path_graph(4)),
+        ]:
+            sets = enumerate_minimal_dominating_sets_product(base, fiber)
+            assert sets
+            for d in sets:
+                rebuilt = ProductSet(base.n, fiber.n, d.pairs)
+                assert rebuilt == d and hash(rebuilt) == hash(d)
+                assert isinstance(d.pairs, tuple)
+                assert all(a < b for a, b in zip(d.pairs, d.pairs[1:]))
+                assert all(0 <= g < base.n and 0 <= h < fiber.n for g, h in d.pairs)
+                with pytest.raises(AttributeError):
+                    d.pairs = ()
+                with pytest.raises(AttributeError):
+                    d.base_n = 0
+
     def test_factor_cap(self):
         with pytest.raises(EnumerationCapExceeded):
             enumerate_minimal_dominating_sets_product(
@@ -276,6 +348,10 @@ class TestUpperGammaBound:
     def test_p5_c4(self):
         bound, holds = upper_gamma_product_bound(path_graph(5), cycle_graph(4))
         assert bound == 6 and holds
+
+    def test_pinned_values(self):
+        assert upper_gamma_product_bound(path_graph(5), path_graph(3)) == (6, True)
+        assert upper_gamma_product_bound(cycle_graph(5), complete_graph(3)) == (2, True)
 
     def test_holds_on_small_family(self):
         for base in nonisomorphic_graphs(3):
