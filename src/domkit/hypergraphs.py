@@ -4,9 +4,20 @@ This is the enumeration backend for minimal dominating sets (via the closed
 neighborhood hypergraph) and for the bounded-size recognition of graphs whose
 minimal dominating sets all share one size.  Enumeration is the depth-first
 MMCS search of Murakami and Uno (Discrete Appl. Math., 2014), which builds no
-intermediate families; the fixed-size decision avoids full enumeration by
-scanning small subsets and then searching, with an explicit stack, for a
-transversal that dodges all of them.
+intermediate families.
+
+The fixed-size decision "every minimal transversal has size k" avoids
+enumeration and is polynomial for fixed k.  A depth-first search of depth at
+most k - 1 decides whether a smaller transversal exists; if so, the witness
+is the lexicographically first minimum transversal.  Otherwise a minimal
+transversal larger than k exists exactly when some (k+1)-set S is
+irredundant (each member has a private edge, one that meets S in that member
+alone) and, for some choice of one private edge per member, S plus every
+vertex outside S and outside the chosen edges hits all edges (Cockayne,
+Hedetniemi and Miller, Canad. Math. Bull. 1978, on irredundance; Eiter and
+Gottlob, SIAM J. Comput. 1995, on duality with a bounded-size side).  The
+witness is that set for the first S in ascending combination order and its
+first choice in edge order, minimalized by one ascending removal pass.
 """
 
 from __future__ import annotations
@@ -106,6 +117,15 @@ def sperner_reduce(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.n, [VertexSet.from_mask(h.n, m) for m in kept])
 
 
+def _edge_incidence(n: int, edges: list[int] | tuple[int, ...]) -> list[int]:
+    """For each vertex, the bitmask of the indices of the edges that contain it."""
+    incidence = [0] * n
+    for i, e in enumerate(edges):
+        for v in iter_bits(e):
+            incidence[v] |= 1 << i
+    return incidence
+
+
 def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
     """All minimal transversals, canonically ordered.
 
@@ -116,10 +136,7 @@ def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
     alone hits), which no superset regains.
     """
     edges = sorted(set(h.edge_masks))
-    incidence = [0] * h.n
-    for i, e in enumerate(edges):
-        for v in iter_bits(e):
-            incidence[v] |= 1 << i
+    incidence = _edge_incidence(h.n, edges)
     found = []
     # frame: the set, each member's critical edges, uncovered edges, candidates
     stack = [(0, [], (1 << len(edges)) - 1, (1 << h.n) - 1)]
@@ -153,47 +170,114 @@ def minimal_transversals_up_to_size(h: Hypergraph, k: int) -> list[VertexSet]:
     return out
 
 
+def _has_transversal_below(edges: tuple[int, ...], incidence: list[int], k: int) -> bool:
+    """Whether some transversal has fewer than ``k`` vertices.
+
+    Depth-first to depth k - 1, branching on an unhit edge with the fewest
+    vertices: every transversal contains one of its vertices.
+    """
+    stack = [((1 << len(edges)) - 1, k - 1)]
+    while stack:
+        unhit, budget = stack.pop()
+        if not unhit:
+            return True
+        if budget:
+            branch = min((edges[i] for i in iter_bits(unhit)), key=int.bit_count)
+            stack.extend((unhit & ~incidence[v], budget - 1) for v in iter_bits(branch))
+    return False
+
+
+def _fill_around(edges: tuple[int, ...], full: int, members: int, private: list[int],
+                 missed: list[int]) -> int | None:
+    """S | F for the first choice of one private edge per member of S, or None.
+
+    Choices run in product order over the members, ascending, each taking its
+    private edges in edge order.  F is every vertex outside S and outside the
+    chosen edges; S | F is a transversal exactly when each edge that S
+    misses keeps a vertex outside the chosen edges, which only gets harder as
+    more edges are chosen, so a failing prefix is cut.
+    """
+    size = len(private)
+    stack = [(0, 0)]
+    while stack:
+        j, chosen = stack.pop()
+        if any(not e & ~chosen for e in missed):
+            continue
+        if j == size:
+            return members | (full & ~chosen)
+        stack.extend((j + 1, chosen | edges[i]) for i in reversed(list(iter_bits(private[j]))))
+    return None
+
+
+def _oversized_transversal(n: int, edges: tuple[int, ...], incidence: list[int],
+                           k: int) -> int | None:
+    """A minimal transversal with more than ``k`` vertices, or None.
+
+    A (k+1)-set S lies inside such a transversal exactly when each member has
+    a private edge (one that meets S in that member only) and, for some
+    choice e(s) of those, S | F is a transversal, F being the vertices
+    outside S and every e(s); minimalizing S | F then keeps all of S, since
+    each e(s) meets it in s alone.  Candidate sets are searched depth-first in
+    ascending combination order, each frame carrying its members' private
+    edges and the edges hit so far; a child in which some member would lose
+    its last private edge is cut, as no superset regains it.
+    """
+    size = k + 1
+    full = (1 << n) - 1
+    # frame: members, their private edges in member order, edges hit, next candidate
+    stack: list[tuple[int, list[int], int, int]] = [(0, [], 0, 0)]
+    while stack:
+        members, private, hit, start = stack.pop()
+        if len(private) == size:
+            missed = [edges[i] for i in range(len(edges)) if not hit >> i & 1]
+            grown = _fill_around(edges, full, members, private, missed)
+            if grown is not None:
+                return _minimalize(grown, lambda m: all(m & e for e in edges))
+            continue
+        children = []
+        for v in range(start, n - size + len(private) + 1):
+            own = incidence[v] & ~hit
+            if not own:
+                continue
+            kept = [p & ~incidence[v] for p in private]
+            if 0 not in kept:
+                kept.append(own)
+                children.append((members | 1 << v, kept, hit | incidence[v], v + 1))
+        stack.extend(reversed(children))
+    return None
+
+
 def all_minimal_transversals_have_size(
     h: Hypergraph, k: int
 ) -> tuple[bool, VertexSet | None]:
     """Decide whether every minimal transversal has size exactly ``k``.
 
     Returns (True, None) on success, else (False, w) where w is a minimal
-    transversal of size != k, the first counterexample in canonical search
-    order.  Requires a Sperner hypergraph.  The decision runs in three steps:
-    reject if a minimal transversal smaller than k exists, collect the size-k
-    minimal transversals, then backtrack for a transversal containing none of
-    them and minimalize it into an oversized witness.
+    transversal of size != k.  Requires a Sperner hypergraph and k >= 1.  Two
+    searches decide it, each polynomial for fixed k:
+
+    - a depth-first search of depth at most k - 1 for a transversal smaller
+      than k; when one exists, w is the lexicographically first minimum
+      transversal, the first entry of ``minimal_transversals_up_to_size(h, k - 1)``;
+    - otherwise a search over the irredundant (k+1)-sets S in ascending
+      combination order, trying each S's private-edge choices in edge order
+      (see ``_oversized_transversal``); w is S | F of the first S and choice
+      that pass, minimalized by one ascending removal pass.
+
+    The second search costs O(n^(k+1) * m^(k+1)) bitmask steps.
     """
     if not h.is_sperner():
         raise ValueError("hypergraph must be Sperner-reduced")
-    for small in minimal_transversals_up_to_size(h, k - 1):
-        return False, small
-    size_k = [x.mask for x in minimal_transversals_up_to_size(h, k) if len(x) == k]
-
+    if k < 1:
+        raise ValueError("transversal size must be at least one")
     edges = h.edge_masks
-    n = h.n
-    full = (1 << n) - 1
-
-    # Depth-first over vertices in ascending order, excluding a vertex before
-    # including it.  A node (i, included) has decided the vertices < i; it is
-    # pruned when an edge can no longer be hit or the inclusions already
-    # contain a size-k minimal transversal.  The explicit stack keeps the
-    # depth off the interpreter's recursion limit.
-    stack = [(0, 0)]
-    while stack:
-        i, included = stack.pop()
-        available = included | (full >> i << i)
-        if any(not e & available for e in edges):
-            continue
-        if any(m & ~included == 0 for m in size_k):
-            continue
-        if i == n:
-            witness = _minimalize(included, lambda m: all(m & e for e in edges))
-            return False, VertexSet.from_mask(n, witness)
-        stack.append((i + 1, included | (1 << i)))
-        stack.append((i + 1, included))
-    return True, None
+    incidence = _edge_incidence(h.n, edges)
+    if _has_transversal_below(edges, incidence, k):
+        return False, minimal_transversals_up_to_size(h, k - 1)[0]
+    witness = _oversized_transversal(h.n, edges, incidence, k)
+    if witness is None:
+        return True, None
+    return False, VertexSet.from_mask(h.n, witness)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

@@ -446,6 +446,13 @@ def upper_gamma_product_bound(
     enumeration, is at least the bound.  Expected to hold always.  The
     enumeration is sorted by size, so the largest set is the last one.
     """
-    bound = alpha(base) * upper_gamma(fiber, cap)
-    observed = len(enumerate_minimal_dominating_sets_product(base, fiber, cap)[-1])
+    bound, observed = _upper_gamma_product_bound(base, fiber, cap)
     return bound, observed >= bound
+
+
+def _upper_gamma_product_bound(
+    base: Graph, fiber: Graph, cap: int | None = None
+) -> tuple[int, int]:
+    """The bound alpha(base) * Gamma(fiber) and the product's upper domination."""
+    bound = alpha(base) * upper_gamma(fiber, cap)
+    return bound, len(enumerate_minimal_dominating_sets_product(base, fiber, cap)[-1])

@@ -4,10 +4,12 @@ A graph is well-dominated when all its minimal dominating sets share one
 size.  Four recognizers are provided: plain enumeration, a polynomial test
 for graphs whose domination number is two (triangle-pair scan on the graph
 plus a triangle-freeness test on the complement), a bounded-size transversal
-test, and a factor-based test for lexicographic products.  Every negative
-verdict ships two concrete minimal dominating sets of different sizes when
-such a pair exists, and the product recognizer builds them from the factors
-without ever enumerating the flattened product.
+test that is polynomial for each fixed domination number k (a search over
+irredundant (k+1)-sets, O(n^(2k+2)) bitmask steps), and a factor-based test
+for lexicographic products.  Every negative verdict ships two concrete
+minimal dominating sets of different sizes when such a pair exists, and the
+product recognizer builds them from the factors without ever enumerating the
+flattened product.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .graphs import (
 )
 from .domination import (
     _check_cap,
+    _find_cover,
     _greedy_independent,
     _require_nonempty,
     enumerate_minimal_dominating_sets,
-    gamma,
     is_minimal_dominating,
     minimum_dominating_set,
     minimum_total_dominating_set,
@@ -46,6 +48,10 @@ from .lexicographic import ProductSet, lex_product
 # the product formula for a known fiber domination number, bound to the
 # public name so that perfbench/tracer.py still times its calls
 from .lexicographic import _gamma_product as gamma_product
+
+# no longer called here (``recognize`` bounds its own search), but
+# perfbench/tracer.py wraps the name in this module
+from .domination import gamma  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,9 @@ def is_well_dominated_bounded_k(graph: Graph, k: int) -> RecognitionReport:
 
     Requires the domination number to equal ``k`` (checked).  The graph is
     well-dominated exactly when every minimal transversal of the reduced
-    closed-neighborhood hypergraph has size ``k``.
+    closed-neighborhood hypergraph has size ``k``, which
+    ``all_minimal_transversals_have_size`` decides in polynomial time for
+    fixed ``k``; its oversized minimal transversal is the large witness.
     """
     _require_nonempty(graph)
     small = minimum_dominating_set(graph)
@@ -224,15 +232,23 @@ def recognize(
 ) -> RecognitionReport:
     """Dispatch to the cheapest applicable recognizer.
 
-    Domination number two gets the triangle-pair test, small domination
-    numbers the transversal test, everything else plain enumeration.  All
-    paths agree on the verdict.
+    Domination number two gets the triangle-pair test, domination numbers up
+    to ``bounded_k_threshold`` the transversal test, everything else plain
+    enumeration.  The domination number is searched only up to
+    ``max(2, bounded_k_threshold)``, in O(n^k) per size k; a larger one goes
+    straight to enumeration, whose cap check comes before any exponential
+    search.  All paths agree on the verdict.
     """
     _require_nonempty(graph)
-    gamma_val = gamma(graph)
+    # the domination number is searched only as far as a polynomial
+    # recognizer reaches; above that the enumeration cap decides first
+    reach = max(2, bounded_k_threshold)
+    gamma_val = next(
+        (k for k in range(1, reach + 1) if _find_cover(graph, k, True) is not None), None
+    )
     if gamma_val == 2:
         return is_well_dominated_gamma2(graph)
-    if gamma_val <= bounded_k_threshold:
+    if gamma_val is not None and gamma_val <= bounded_k_threshold:
         return is_well_dominated_bounded_k(graph, gamma_val)
     return is_well_dominated_enum(graph, cap)
 

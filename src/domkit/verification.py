@@ -25,6 +25,7 @@ from .domination import (
     is_irreducible_dominating_definitional,
     is_minimal_dominating,
     is_minimal_total_dominating,
+    neighborhood_hypergraph,
 )
 from .families import (
     cycle_graph,
@@ -47,6 +48,7 @@ from .hypergraphs import (
     write_hypergraph,
 )
 from .lexicographic import (
+    _upper_gamma_product_bound,
     ProductSet,
     check_minimal_product,
     dominates_product_vertex,
@@ -320,9 +322,8 @@ def check_upper_domination_gap(scale: Scale, rng: Random) -> CheckResult:
         instances += 1
         g = two_cliques_with_matching(k)
         h = cycle_graph(4)
-        observed = max(len(d) for d in enumerate_minimal_dominating_sets_product(g, h))
-        bound, holds = upper_gamma_product_bound(g, h)
-        if not (observed == k and bound == 4 and holds):
+        bound, observed = _upper_gamma_product_bound(g, h)
+        if not (observed == k and bound == 4 and observed >= bound):
             bad += 1
         details.append(f"k={k}: upper domination {observed}, bound {bound}")
     return CheckResult(
@@ -386,9 +387,10 @@ def check_well_covered_alpha2(scale: Scale, rng: Random) -> CheckResult:
 
 
 def check_gamma2_recognition(scale: Scale, rng: Random) -> CheckResult:
-    """Triangle-pair recognizer against enumeration on graphs with domination
-    number two, plus the chain into well-covered graphs and the fixed
-    regressions (4-cycle and 4-path accepted, 6-cycle complement rejected)."""
+    """Triangle-pair recognizer against enumeration and against the
+    bounded-size transversal test on graphs with domination number two, plus
+    the chain into well-covered graphs and the fixed regressions (4-cycle and
+    4-path accepted, 6-cycle complement rejected)."""
     bad = 0
     instances = 0
     graphs = _family_up_to(scale.recognition_family_max)
@@ -402,6 +404,9 @@ def check_gamma2_recognition(scale: Scale, rng: Random) -> CheckResult:
             continue
         instances += 1
         if rep.verdict != is_well_dominated_enum(g).verdict:
+            bad += 1
+        # a second oracle, independent of the triangle characterization
+        if rep.verdict != all_minimal_transversals_have_size(neighborhood_hypergraph(g), 2)[0]:
             bad += 1
         if not rep.verdict and (
             rep.witness_small is None

@@ -4,7 +4,9 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -12,7 +14,7 @@ import domkit
 import domkit.cli
 from domkit.cli import build_parser, main
 from domkit.domination import enumerate_minimal_dominating_sets, is_minimal_dominating
-from domkit.families import cycle_graph, path_graph
+from domkit.families import cycle_graph, path_graph, random_graph
 from domkit.graphs import Graph, VertexSet, parse_graph, write_graph
 
 
@@ -173,9 +175,20 @@ class TestWellDominated:
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"] is True and data["method"] == "gamma2"
 
+    def test_large_domination_number_exits_on_the_cap_at_once(self, tmp_path, capsys):
+        # domination number 12: the dispatch stops searching it at three
+        path = tmp_path / "sparse.el"
+        path.write_text(write_graph(random_graph(50, Random(2), 0.1)))
+        start = time.perf_counter()
+        assert main(["well-dominated", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph has 50 vertices, above the enumeration cap 24\n"
+
     def test_large_star_exits_with_a_verdict(self, tmp_path, capsys):
         # domination number one sends K_{1,1100} to the bounded-size test,
-        # whose avoidance search is as deep as the graph is large
+        # whose oversized witness holds all 1100 leaves
         star = Graph(1101, [(0, i) for i in range(1, 1101)])
         path = tmp_path / "star.el"
         path.write_text(write_graph(star))
@@ -202,6 +215,34 @@ class TestErrors:
 
     def test_usage_error(self):
         assert main(["no-such-command"]) == 2
+
+    def test_reused_parser_answers_like_fresh_ones(self, p5_file, c4_file, monkeypatch, capsys):
+        calls = [
+            ["stats", p5_file],
+            ["well-dominated", c4_file, "--json"],
+            ["no-such-command"],
+            ["enumerate-mds", c4_file, "--cap", "2"],
+            ["verify", "--scale", "huge"],
+            ["check-set", p5_file, "1,3", "--json"],
+            ["well-dominated", p5_file, "--method", "bounded-k", "--k", "2"],
+            ["stats", p5_file, "--json"],
+        ]
+
+        def run_all():
+            out = []
+            for argv in calls:
+                code = main(argv)
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+            return out
+
+        assert domkit.cli._parser() is domkit.cli._parser()
+        assert build_parser() is not build_parser()
+        reused = run_all()
+        monkeypatch.setattr(domkit.cli, "_parser", build_parser)
+        assert run_all() == reused
+        assert [code for code, _, _ in reused] == [0, 0, 2, 2, 2, 0, 1, 0]
+        assert "invalid choice: 'huge'" in reused[4][2]
 
     def test_internal_failure_exits_two_not_one(self, p5_file, monkeypatch, capsys):
         def fail(*args, **kwargs):

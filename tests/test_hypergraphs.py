@@ -1,5 +1,6 @@
 """Transversal machinery against subset brute force and frozen small cases."""
 
+import itertools
 from random import Random
 
 import pytest
@@ -7,9 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domkit import bruteforce
-from domkit.families import cycle_graph, path_graph, random_sperner_hypergraph
+from domkit.families import (
+    cycle_graph,
+    nonisomorphic_graphs,
+    path_graph,
+    random_graph,
+    random_sperner_hypergraph,
+)
 from domkit.domination import (
     enumerate_minimal_dominating_sets,
+    gamma,
     is_minimal_dominating,
     neighborhood_hypergraph,
 )
@@ -161,17 +169,92 @@ class TestFixedSizeDecision:
         with pytest.raises(ValueError):
             all_minimal_transversals_have_size(Hypergraph(2, [[0], [0, 1]]), 1)
 
+    def test_size_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            all_minimal_transversals_have_size(TRIANGLE, 0)
+        with pytest.raises(ValueError):
+            all_minimal_transversals_have_size(Hypergraph(2, []), 0)
+
+    def test_smaller_transversal_gives_the_first_minimum_one(self):
+        h = neighborhood_hypergraph(path_graph(5))
+        assert all_minimal_transversals_have_size(h, 3) == (False, VertexSet(5, [0, 3]))
+        assert all_minimal_transversals_have_size(Hypergraph(2, []), 1) == (False, VertexSet(2))
+
+    def test_size_above_the_universe(self):
+        assert all_minimal_transversals_have_size(TRIANGLE, 3) == (False, VertexSet(3, [0, 1]))
+        assert all_minimal_transversals_have_size(Hypergraph(2, [[0], [1]]), 2) == (True, None)
+
+    @staticmethod
+    def _assert_decided_like_enumeration(h, k):
+        sizes = {len(x) for x in enumerate_minimal_transversals(h)}
+        ok, witness = all_minimal_transversals_have_size(h, k)
+        assert ok == (sizes == {k})
+        if ok:
+            assert witness is None
+        else:
+            assert is_minimal_transversal(h, witness)
+            assert len(witness) != k
+
+    @staticmethod
+    def _first_oversized_by_rule(h, k):
+        """The documented witness rule, spelled out by brute force."""
+        edges = h.edge_masks
+        for s in itertools.combinations(range(h.n), k + 1):
+            private = [
+                [e for e in edges if e >> v & 1 and not any(e >> u & 1 for u in s if u != v)]
+                for v in s
+            ]
+            for chosen in itertools.product(*private):
+                members = VertexSet(h.n, s).mask
+                blocked = members
+                for e in chosen:
+                    blocked |= e
+                grown = members | ((1 << h.n) - 1) & ~blocked
+                if all(grown & e for e in edges):
+                    for v in range(h.n):
+                        smaller = grown & ~(1 << v)
+                        if smaller != grown and all(smaller & e for e in edges):
+                            grown = smaller
+                    return VertexSet.from_mask(h.n, grown)
+        return None
+
+    def test_oversized_witness_follows_the_documented_rule(self):
+        # two disjoint edges: {0, 2} comes before {1, 3} in combination order
+        h = Hypergraph(4, [[0, 1], [2, 3]])
+        assert all_minimal_transversals_have_size(h, 1) == (False, VertexSet(4, [0, 2]))
+        for n in range(1, 7):
+            for g in nonisomorphic_graphs(n):
+                h = neighborhood_hypergraph(g)
+                k = gamma(g)
+                ok, witness = all_minimal_transversals_have_size(h, k)
+                assert (None if ok else witness) == self._first_oversized_by_rule(h, k)
+
+    def test_matches_enumeration_on_the_catalogue(self):
+        for n in range(1, 8):
+            for g in nonisomorphic_graphs(n):
+                h = neighborhood_hypergraph(g)
+                k = gamma(g)
+                self._assert_decided_like_enumeration(h, k)
+                self._assert_decided_like_enumeration(h, k + 1)
+
+    def test_matches_enumeration_on_random_graphs(self):
+        rng = Random(2)
+        done = 0
+        while done < 150:
+            g = random_graph(rng.randint(8, 14), rng, rng.choice((0.2, 0.3, 0.5, 0.7)))
+            k = gamma(g)
+            if k > 4:
+                continue
+            done += 1
+            self._assert_decided_like_enumeration(neighborhood_hypergraph(g), k)
+
     def test_matches_enumeration_on_random_instances(self):
         rng = Random(1)
         for _ in range(300):
             h = random_sperner_hypergraph(rng.randint(1, 7), rng)
             sizes = {len(x) for x in enumerate_minimal_transversals(h)}
             for k in sorted(sizes | {max(sizes) + 1}):
-                ok, witness = all_minimal_transversals_have_size(h, k)
-                assert ok == (sizes == {k})
-                if not ok:
-                    assert is_minimal_transversal(h, witness)
-                    assert len(witness) != k
+                self._assert_decided_like_enumeration(h, k)
 
 
 class TestSerialization:

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 from random import Random
 
@@ -10,7 +11,7 @@ import pytest
 import domkit
 
 from domkit import bruteforce
-from domkit.domination import gamma, is_minimal_dominating
+from domkit.domination import EnumerationCapExceeded, gamma, is_minimal_dominating
 from domkit.families import (
     complete_graph,
     cycle_graph,
@@ -121,6 +122,15 @@ class TestBoundedKMethod:
         with pytest.raises(ValueError, match="domination number"):
             is_well_dominated_bounded_k(p5, 3)
 
+    def test_three_cliques_past_the_cap(self):
+        three_k10 = disjoint_union(
+            complete_graph(10), disjoint_union(complete_graph(10), complete_graph(10))
+        )
+        start = time.perf_counter()
+        report = is_well_dominated_bounded_k(three_k10, 3)
+        assert time.perf_counter() - start < 1.0
+        assert report.verdict and report.common_size == 3
+
     def test_agreement_with_enumeration(self):
         rng = Random(22)
         done = 0
@@ -141,6 +151,22 @@ class TestDispatch:
         assert recognize(c4).method == "gamma2" and recognize(c4).verdict
         assert recognize(k3).method == "bounded_k" and recognize(k3).verdict
         assert not recognize(p5).verdict
+
+    def test_threshold_moves_only_the_bounded_size_test(self, c4, k3):
+        c10 = cycle_graph(10)
+        assert recognize(c10).method == "enumeration"
+        assert recognize(c10, bounded_k_threshold=4).method == "bounded_k"
+        # domination number two keeps the triangle-pair test below the threshold
+        assert recognize(c4, bounded_k_threshold=0).method == "gamma2"
+        assert recognize(k3, bounded_k_threshold=0).method == "enumeration"
+        assert recognize(k3, bounded_k_threshold=1).method == "bounded_k"
+
+    def test_large_domination_number_meets_the_cap_first(self):
+        sparse = random_graph(50, Random(2), 0.1)
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapExceeded):
+            recognize(sparse)
+        assert time.perf_counter() - start < 1.0
 
     def test_single_vertex(self):
         report = recognize(Graph(1))
