@@ -6,6 +6,10 @@ pass/fail line with the number of instances exercised.  The ``small`` scale
 finishes in well under two minutes; ``full`` runs the complete property suite.
 All sampling is driven by one seed, so the output is byte-identical across
 runs.
+
+The checks have two callers: ``domkit verify`` and the tier-1 acceptance
+tests (``tests/test_acceptance.py``), which run every check at the full scale
+without random product sets and pin its seed, instance count and time budget.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from random import Random
 from . import bruteforce
 from .domination import (
     enumerate_irreducible_dominating_sets,
-    enumerate_minimal_dominating_sets,
     gamma,
     gamma_t,
     is_dominating,
@@ -39,7 +42,7 @@ from .families import (
     random_sperner_hypergraph,
     two_cliques_with_matching,
 )
-from .graphs import Graph, VertexSet, complement, iter_bits
+from .graphs import Graph, VertexSet, complement, induces_c6_complement, iter_bits
 from .hypergraphs import (
     Hypergraph,
     all_minimal_transversals_have_size,
@@ -267,14 +270,18 @@ def check_gamma_formula(scale: Scale, rng: Random) -> CheckResult:
     for n in (2, 3, 4):
         for h in (cycle_graph(4), path_graph(4), edgeless_graph(2)):
             instances += 1
-            if gamma_product(complete_graph(n), h) != 2:
+            if (
+                gamma(h) < 2
+                or gamma_product(complete_graph(n), h) != 2
+                or gamma(lex_product(complete_graph(n), h).graph) != 2
+            ):
                 bad += 1
     # with a fiber needing three dominators the value stays two, so a complete
     # base does not preserve the fiber domination number
     seven_cycle = cycle_graph(7)
     for n in (2, 3):
         instances += 1
-        if gamma_product(complete_graph(n), seven_cycle) != 2:
+        if gamma(seven_cycle) != 3 or gamma_product(complete_graph(n), seven_cycle) != 2:
             bad += 1
     for _ in range(scale.doubling_identity_samples):
         n = rng.randint(2, scale.doubling_identity_max_n)
@@ -301,7 +308,7 @@ def check_upper_domination_bound(scale: Scale, rng: Random) -> CheckResult:
     for g in _family_up_to(scale.enum_base_max):
         for h in _family_up_to(scale.enum_fiber_max):
             instances += 1
-            bound, holds = upper_gamma_product_bound(g, h)
+            _, holds = upper_gamma_product_bound(g, h)
             if not holds:
                 bad += 1
     return CheckResult(
@@ -386,6 +393,14 @@ def check_well_covered_alpha2(scale: Scale, rng: Random) -> CheckResult:
     )
 
 
+def _recognition_pool(scale: Scale, rng: Random) -> list[Graph]:
+    """The catalogue up to the recognition size, then seeded random graphs."""
+    graphs = _family_up_to(scale.recognition_family_max)
+    for _ in range(scale.recognition_random):
+        graphs.append(random_graph(rng.randint(1, scale.recognition_random_max_n), rng))
+    return graphs
+
+
 def check_gamma2_recognition(scale: Scale, rng: Random) -> CheckResult:
     """Triangle-pair recognizer against enumeration and against the
     bounded-size transversal test on graphs with domination number two, plus
@@ -393,10 +408,7 @@ def check_gamma2_recognition(scale: Scale, rng: Random) -> CheckResult:
     4-path accepted, 6-cycle complement rejected)."""
     bad = 0
     instances = 0
-    graphs = _family_up_to(scale.recognition_family_max)
-    for _ in range(scale.recognition_random):
-        graphs.append(random_graph(rng.randint(1, scale.recognition_random_max_n), rng))
-    for g in graphs:
+    for g in _recognition_pool(scale, rng):
         rep = is_well_dominated_gamma2(g)
         if rep.verdict and (gamma(g) != 2 or not is_well_covered_alpha2(g)):
             bad += 1
@@ -463,10 +475,7 @@ def check_bounded_k_recognition(scale: Scale, rng: Random) -> CheckResult:
 def check_method_agreement(scale: Scale, rng: Random) -> CheckResult:
     bad = 0
     instances = 0
-    graphs = _family_up_to(scale.recognition_family_max)
-    for _ in range(scale.recognition_random):
-        graphs.append(random_graph(rng.randint(1, scale.recognition_random_max_n), rng))
-    for g in graphs:
+    for g in _recognition_pool(scale, rng):
         instances += 1
         want = is_well_dominated_enum(g).verdict
         if recognize(g).verdict != want:
@@ -568,13 +577,13 @@ def check_irreducible_sets(scale: Scale, rng: Random) -> CheckResult:
 def check_prism_induction(scale: Scale, rng: Random) -> CheckResult:
     """Triple-pair induction test against a generic induced-subgraph
     isomorphism check on the 6-vertex graph made of two matched triangles."""
-    from .graphs import induces_c6_complement
-    from .families import cycle_graph as _cycle
-
-    target = complement(_cycle(6))
+    target = complement(cycle_graph(6))
 
     def oracle(g: Graph, t: VertexSet, t2: VertexSet) -> bool:
         verts = sorted(t.members + t2.members)
+        # isomorphic graphs have equally many edges; most samples stop here
+        if sum(g.adjacent(a, b) for a, b in itertools.combinations(verts, 2)) != len(target.edges):
+            return False
         for perm in itertools.permutations(range(6)):
             if all(
                 g.adjacent(verts[perm[i]], verts[perm[j]]) == target.adjacent(i, j)

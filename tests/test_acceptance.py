@@ -1,246 +1,49 @@
-"""Acceptance gate: worked regressions plus oracle equivalence at desk scale.
+"""Acceptance gate: every ``verification`` check at the acceptance scale.
 
-Each test prints one pass/fail line (visible with ``pytest -s``) and enforces
-its runtime budget.  Everything asserted here is exact; the expected values
-come from subset brute force or from worked examples checked by hand.
+Each case prints one pass/fail line (visible with ``pytest -s``), pins the
+number of instances its check exercised and enforces a runtime budget.  The
+acceptance scale is the full scale without random product sets, so the
+per-set product checks stay exhaustive on products of at most nine vertices.
 """
 
-import itertools
+import dataclasses
 import time
 from random import Random
 
 import pytest
 
-from domkit import bruteforce
-from domkit.domination import (
-    enumerate_irreducible_dominating_sets,
-    gamma,
-    gamma_t,
-    is_dominating,
-    is_irreducible_dominating,
-    is_irreducible_dominating_definitional,
-    is_minimal_dominating,
-    is_minimal_total_dominating,
-)
-from domkit.families import (
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    edgeless_graph,
-    nonisomorphic_graphs,
-    path_graph,
-    random_graph,
-    random_isolate_free_graph,
-    random_sperner_hypergraph,
-    two_cliques_with_matching,
-)
-from domkit.graphs import VertexSet, complement
-from domkit.hypergraphs import (
-    Hypergraph,
-    enumerate_minimal_transversals,
-    is_minimal_transversal,
-)
-from domkit.lexicographic import (
-    ProductSet,
-    check_minimal_product,
-    enumerate_minimal_dominating_sets_product,
-    gamma_product,
-    is_dominating_product,
-    lex_product,
-    upper_gamma_product_bound,
-)
-from domkit.recognition import (
-    is_well_dominated_bounded_k,
-    is_well_dominated_enum,
-    is_well_dominated_gamma2,
-    is_well_dominated_lex,
-)
+from domkit.verification import ALL_CHECKS, SCALES
+
+ACCEPTANCE_SCALE = dataclasses.replace(SCALES["full"], random_sets_per_pair=0)
+
+# check name: (seed, budget in seconds, instances exercised at the acceptance scale)
+ACCEPTANCE = {
+    "check_product_vertex_domination": (0, 60.0, 20978),
+    "check_product_domination": (0, 60.0, 20978),
+    "check_product_minimality": (0, 300.0, 21104),
+    "check_gamma_formula": (101, 300.0, 337),
+    "check_upper_domination_bound": (0, 300.0, 126),
+    "check_upper_domination_gap": (0, 60.0, 2),
+    "check_product_recognition": (102, 600.0, 203),
+    "check_well_covered_alpha2": (0, 60.0, 1252),
+    "check_gamma2_recognition": (103, 180.0, 1114),
+    "check_bounded_k_recognition": (104, 180.0, 300),
+    "check_method_agreement": (0, 60.0, 1752),
+    "check_transversal_machinery": (105, 120.0, 300),
+    "check_irreducible_sets": (0, 180.0, 11293),
+    "check_prism_induction": (0, 60.0, 500),
+    "check_worked_example": (0, 1.0, 4),
+}
 
 
-class _Budget:
-    def __init__(self, name: str, seconds: float):
-        self.name = name
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.monotonic() - self.start
-        status = "PASS" if exc_type is None else "FAIL"
-        print(f"{status} {self.name} ({elapsed:.1f}s)")
-        if exc_type is None:
-            assert elapsed < self.seconds, f"{self.name}: {elapsed:.1f}s over budget"
-
-
-def _family(n_lo, n_hi, connected=False):
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        out.extend(nonisomorphic_graphs(n, connected=connected))
-    return out
-
-
-def test_worked_product_example_regression():
-    with _Budget("worked example in the 5-path times 3-path product", 1.0):
-        product = lex_product(path_graph(5), path_graph(3))
-        d = ProductSet(5, 3, [(1, 1), (2, 0), (3, 1)])
-        report = check_minimal_product(product, d)
-        assert report.cond_i is True
-        assert report.cond_ii is True
-        assert report.cond_iii is False
-        assert report.minimal is False
-        assert is_dominating_product(product, ProductSet(5, 3, [(1, 1), (3, 1)]))
-
-
-def test_upper_domination_gap_two_cliques():
-    with _Budget("upper domination gap for matched cliques over a 4-cycle", 60.0):
-        fiber = cycle_graph(4)
-        for k in (4, 5):
-            base = two_cliques_with_matching(k)
-            sets = enumerate_minimal_dominating_sets_product(base, fiber)
-            observed = max(len(d) for d in sets)
-            bound, holds = upper_gamma_product_bound(base, fiber)
-            assert observed == k
-            assert bound == 4
-            assert holds
-
-
-def test_constructive_product_enumeration_matches_brute_force():
-    with _Budget("constructive product enumeration equals flat brute force", 300.0):
-        checked = 0
-        for base in _family(1, 4):
-            for fiber in _family(1, 3):
-                got = {
-                    d.flatten()
-                    for d in enumerate_minimal_dominating_sets_product(base, fiber)
-                }
-                want = set(
-                    bruteforce.minimal_dominating_sets(lex_product(base, fiber).graph)
-                )
-                assert got == want, (base, fiber)
-                checked += 1
-        assert checked == 18 * 7
-
-
-def test_product_domination_number_formula():
-    with _Budget("product domination number formula", 300.0):
-        for base in _family(1, 4):
-            for fiber in _family(1, 3):
-                flat = lex_product(base, fiber).graph
-                assert gamma_product(base, fiber) == bruteforce.gamma(flat), (base, fiber)
-        # complete bases give the constant value two once fibers need two dominators
-        for n in (2, 3, 4):
-            for fiber in (cycle_graph(4), path_graph(4), edgeless_graph(2)):
-                assert gamma(fiber) >= 2
-                base = complete_graph(n)
-                assert gamma_product(base, fiber) == 2
-                assert gamma(lex_product(base, fiber).graph) == 2
-        # a fiber needing three dominators shows the value is not gamma(fiber)
-        seven_cycle = cycle_graph(7)
-        assert gamma(seven_cycle) == 3
-        for n in (2, 3):
-            value = gamma_product(complete_graph(n), seven_cycle)
-            assert value == 2 != gamma(seven_cycle)
-        # doubling into an edgeless two-vertex fiber computes total domination
-        rng = Random(101)
-        fiber = edgeless_graph(2)
-        for _ in range(200):
-            base = random_isolate_free_graph(rng.randint(2, 9), rng)
-            value = gamma_product(base, fiber)
-            assert value == gamma_t(base)
-            assert value == gamma(lex_product(base, fiber).graph)
-
-
-def test_irreducible_characterization_and_census():
-    with _Budget("irreducible dominating set characterization", 180.0):
-        for g in _family(1, 6):
-            for mask in range(1 << g.n):
-                d = VertexSet.from_mask(g.n, mask)
-                char = is_irreducible_dominating(g, d)
-                assert char == is_irreducible_dominating_definitional(g, d)
-                if is_minimal_dominating(g, d):
-                    assert char
-                if is_minimal_total_dominating(g, d):
-                    assert char
-        for n in (3, 4, 5):
-            got = [s.members for s in enumerate_irreducible_dominating_sets(complete_graph(n))]
-            want = [(v,) for v in range(n)] + list(itertools.combinations(range(n), 2))
-            assert got == want
-
-
-def test_product_recognition_matches_flattened():
-    with _Budget("product recognition against flattened recognition", 600.0):
-        for base in _family(2, 4, connected=True):
-            for fiber in _family(2, 4):
-                got = is_well_dominated_lex(base, fiber).verdict
-                want = is_well_dominated_enum(lex_product(base, fiber).graph).verdict
-                assert got == want, (base, fiber)
-        rng = Random(102)
-        for _ in range(50):
-            parts = [random_graph(rng.randint(1, 3), rng) for _ in range(rng.randint(2, 3))]
-            base = parts[0]
-            for p in parts[1:]:
-                base = disjoint_union(base, p)
-            fiber = random_graph(rng.randint(2, 3), rng)
-            flat = lex_product(base, fiber).graph
-            got = is_well_dominated_lex(base, fiber).verdict
-            want = is_well_dominated_enum(flat, cap=flat.n).verdict
-            assert got == want, (base, fiber)
-
-
-def test_gamma_two_recognition_agreement():
-    with _Budget("domination-number-two recognition agreement", 180.0):
-        pool = _family(1, 7)
-        rng = Random(103)
-        pool += [random_graph(rng.randint(1, 9), rng) for _ in range(500)]
-        for g in pool:
-            if gamma(g) != 2:
-                continue
-            got = is_well_dominated_gamma2(g)
-            want = is_well_dominated_enum(g)
-            assert got.verdict == want.verdict, g
-        prism = complement(cycle_graph(6))
-        report = is_well_dominated_gamma2(prism)
-        assert not report.verdict
-        assert report.notes["violating_triangles"] == [[0, 2, 4], [1, 3, 5]]
-        assert len(report.witness_small) == 2 and len(report.witness_large) == 3
-        assert is_well_dominated_gamma2(cycle_graph(4)).verdict
-        assert is_well_dominated_gamma2(path_graph(4)).verdict
-
-
-def test_bounded_gamma_recognition_agreement():
-    with _Budget("bounded domination number recognition agreement", 180.0):
-        rng = Random(104)
-        checked = 0
-        while checked < 300:
-            g = random_graph(rng.randint(1, 9), rng)
-            k = gamma(g)
-            if k > 3:
-                continue
-            report = is_well_dominated_bounded_k(g, k)
-            assert report.verdict == is_well_dominated_enum(g).verdict, g
-            if not report.verdict:
-                assert is_minimal_dominating(g, report.witness_large)
-                assert len(report.witness_large) != k
-            checked += 1
-
-
-def test_product_upper_domination_bound_holds():
-    with _Budget("product upper domination lower bound", 300.0):
-        for base in _family(1, 4):
-            for fiber in _family(1, 3):
-                bound, holds = upper_gamma_product_bound(base, fiber)
-                assert holds, (base, fiber, bound)
-
-
-def test_transversal_duality_and_oracle_suites():
-    with _Budget("transversal enumeration and self-duality suites", 120.0):
-        rng = Random(105)
-        for _ in range(300):
-            h = random_sperner_hypergraph(rng.randint(1, 7), rng)
-            fast = enumerate_minimal_transversals(h)
-            assert fast == bruteforce.minimal_transversals(h)
-            assert all(is_minimal_transversal(h, x) for x in fast)
-            dual = Hypergraph(h.n, fast)
-            assert Hypergraph(h.n, enumerate_minimal_transversals(dual)) == h
+@pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.__name__)
+def test_check_at_acceptance_scale(check):
+    assert check.__name__ in ACCEPTANCE, f"{check.__name__} has no acceptance entry"
+    seed, budget, instances = ACCEPTANCE[check.__name__]
+    start = time.monotonic()
+    result = check(ACCEPTANCE_SCALE, Random(seed))
+    elapsed = time.monotonic() - start
+    print(f"{'PASS' if result.passed else 'FAIL'} {result.name} ({elapsed:.1f}s)")
+    assert result.passed, result.detail
+    assert result.instances == instances
+    assert elapsed < budget, f"{result.name}: {elapsed:.1f}s over budget"

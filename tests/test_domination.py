@@ -16,7 +16,6 @@ from domkit.domination import (
     gamma_t,
     is_dominating,
     is_irreducible_dominating,
-    is_irreducible_dominating_definitional,
     is_minimal_dominating,
     is_minimal_total_dominating,
     is_total_dominating,
@@ -124,15 +123,6 @@ class TestIrreducible:
 
     def test_low_degree_dominating_is_irreducible(self, p5):
         assert is_irreducible_dominating(p5, vs(5, [0, 2, 4]))
-
-    def test_characterization_equals_definition_exhaustively(self):
-        for n in range(1, 6):
-            for g in nonisomorphic_graphs(n):
-                for mask in range(1 << n):
-                    d = VertexSet.from_mask(n, mask)
-                    assert is_irreducible_dominating(
-                        g, d
-                    ) == is_irreducible_dominating_definitional(g, d)
 
     @given(graph_with_subset(max_n=7))
     @settings(max_examples=200)

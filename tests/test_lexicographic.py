@@ -332,12 +332,6 @@ class TestGammaProduct:
             g = random_isolate_free_graph(rng.randint(2, 8), rng)
             assert gamma_product(g, edgeless_graph(2)) == gamma_t(g)
 
-    def test_matches_flat_on_small_family(self):
-        for base in nonisomorphic_graphs(3):
-            for fiber in nonisomorphic_graphs(3):
-                got = gamma_product(base, fiber)
-                assert got == bruteforce.gamma(lex_product(base, fiber).graph)
-
     def test_isolated_base_vertices(self):
         base = Graph(3, [(0, 1)])  # one isolated vertex
         fiber = cycle_graph(4)
@@ -352,9 +346,3 @@ class TestUpperGammaBound:
     def test_pinned_values(self):
         assert upper_gamma_product_bound(path_graph(5), path_graph(3)) == (6, True)
         assert upper_gamma_product_bound(cycle_graph(5), complete_graph(3)) == (2, True)
-
-    def test_holds_on_small_family(self):
-        for base in nonisomorphic_graphs(3):
-            for fiber in nonisomorphic_graphs(2):
-                _, holds = upper_gamma_product_bound(base, fiber)
-                assert holds
