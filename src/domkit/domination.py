@@ -19,7 +19,6 @@ from .graphs import (
     _closed_union,
     _open_union,
     iter_bits,
-    set_sort_key,
 )
 from . import hypergraphs
 
@@ -361,46 +360,60 @@ def enumerate_irreducible_dominating_sets(
 ) -> list[VertexSet]:
     """All irreducible dominating sets, canonically ordered.
 
-    Include/exclude search over the vertices in ascending order.  A branch is
-    pruned once some vertex can no longer be dominated, or once a committed
-    member can no longer end up with a private closed neighbor or a leaf
-    neighbor (both conditions only get harder as the set grows, so the prune
-    is sound); each completed leaf is then checked exactly.  The search runs
-    on an explicit stack, so its depth is not limited by the recursion limit.
+    Include/exclude search over the vertices in ascending order.  A frame is
+    ``(i, members, dom, tot, support)``: the next vertex to decide, the
+    members so far, the closed and the open neighborhood unions of the
+    members, and one mask per member.  Bits 0..n-1 of a member's mask are its
+    candidate private closed neighbors, the closed neighbors outside every
+    other member's closed neighborhood.  Bits n..2n-1 are its candidate leaf
+    neighbors, the neighbors outside every other member's open neighborhood.
+    Including i removes ``closed[i]`` and ``adj[i] << n`` from every member's
+    mask.  Excluding i changes no mask: while w is not a member, a mask holds
+    bit n+w exactly when it holds bit w, so leaf bits only ever count for
+    members.
+    Excluding i can leave only vertices of N[i] without a possible
+    dominator, namely those whose highest closed neighbor is i.  A child is
+    pruned once some vertex can no longer be dominated or some mask is empty;
+    both conditions only get harder as the set grows, so the prune is sound.
+    At i = n a mask is non-empty exactly when its member has a private closed
+    neighbor or a leaf neighbor, so every leaf that survives is an
+    irreducible dominating set and needs no further test.  The search runs on
+    an explicit stack, so its depth is not limited by the recursion limit,
+    and the order it finds the sets in gives the canonical order without a
+    sort key.
     """
     _require_nonempty(graph)
     _check_cap(graph.n, cap)
     n = graph.n
-    full = graph.full_mask
     closed = [graph.closed_mask(v) for v in range(n)]
     adj = [graph.adj_mask(v) for v in range(n)]
-    out: list[VertexSet] = []
+    # last[i]: the vertices whose highest closed neighbor is i
+    last = [0] * n
+    for c in range(n):
+        last[closed[c].bit_length() - 1] |= 1 << c
+    found: list[int] = []
 
-    def support_possible(u: int, dmask: int, not_excluded: int) -> bool:
-        others = dmask & ~(1 << u)
-        for v in iter_bits(closed[u]):
-            if not closed[v] & others:
-                return True
-        for w in iter_bits(adj[u] & not_excluded):
-            if not adj[w] & others:
-                return True
-        return False
-
-    # A frame is (next vertex to decide, members so far).  Exclusion is
-    # pushed last, so it is searched first, as in a recursive search.
-    stack = [(0, 0)]
+    # Exclusion is pushed last, so it is searched first, as in a recursive
+    # search.
+    stack = [(0, 0, 0, 0, ())]
     while stack:
-        i, dmask = stack.pop()
-        available = dmask | (full >> i << i)
-        if not all(c & available for c in closed):
-            continue
-        if not all(support_possible(u, dmask, available) for u in iter_bits(dmask)):
-            continue
+        i, dmask, dom, tot, support = stack.pop()
         if i == n:
-            if _is_irreducible_mask(graph, dmask):
-                out.append(VertexSet.from_mask(n, dmask))
+            found.append(dmask)
             continue
-        stack.append((i + 1, dmask | (1 << i)))
-        stack.append((i + 1, dmask))
-    out.sort(key=set_sort_key)
-    return out
+        keep = ~(closed[i] | adj[i] << n)
+        kept = tuple([s & keep for s in support])
+        own = (closed[i] & ~dom) | (adj[i] & ~tot) << n
+        if own and all(kept):
+            stack.append(
+                (i + 1, dmask | 1 << i, dom | closed[i], tot | adj[i], kept + (own,))
+            )
+        if not last[i] & ~dom:
+            stack.append((i + 1, dmask, dom, tot, support))
+    # Two sets of one size differ first at their lowest differing vertex,
+    # which the search excluded before it included it: reversed, the leaves
+    # are in canonical order within each size, and a stable sort by size
+    # finishes it.
+    found.reverse()
+    found.sort(key=int.bit_count)
+    return [VertexSet.from_mask(n, m) for m in found]

@@ -374,6 +374,10 @@ def enumerate_minimal_dominating_sets_product(
     rather than once per set.  Members ascend and each option ascends, so a
     set's pairs are the concatenation of its blocks, already canonical.
 
+    The canonical order is by size, then by pairs.  The raw pair tuples are
+    sorted in two passes, by pairs and then stably by ``len``, so no key
+    tuple is built per set; only then is each wrapped as a :class:`ProductSet`.
+
     The cap guards the factor sizes, not the flattened size, so products far
     beyond the flattened enumeration range stay reachable.
     """
@@ -388,8 +392,7 @@ def enumerate_minimal_dominating_sets_product(
     any_universal = any(universal)
     # (x, totally dominated) -> x's blocks, shared by every set that uses them
     blocks: dict[tuple[int, bool], tuple] = {}
-    new = ProductSet._from_sorted_pairs
-    out: list[ProductSet] = []
+    raw: list[tuple[tuple[int, int], ...]] = []
     for p in enumerate_irreducible_dominating_sets(base, cap):
         choice_lists = []
         for x in p.members:
@@ -403,9 +406,11 @@ def enumerate_minimal_dominating_sets_product(
         else:
             combos = [choice_lists]
         for lists in combos:
-            out.extend([new(base_n, fiber_n, pairs) for pairs in _concatenations(lists)])
-    out.sort(key=lambda ps: (len(ps), ps.pairs))
-    return out
+            raw.extend(_concatenations(lists))
+    raw.sort()
+    raw.sort(key=len)
+    new = ProductSet._from_sorted_pairs
+    return [new(base_n, fiber_n, pairs) for pairs in raw]
 
 
 def gamma_product(base: Graph, fiber: Graph) -> int:

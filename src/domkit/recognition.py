@@ -199,7 +199,9 @@ def is_well_dominated_gamma2(graph: Graph) -> RecognitionReport:
     )
 
 
-def is_well_dominated_bounded_k(graph: Graph, k: int) -> RecognitionReport:
+def is_well_dominated_bounded_k(
+    graph: Graph, k: int, *, _cover: int | None = None
+) -> RecognitionReport:
     """Decide via transversal sizes of the closed-neighborhood hypergraph.
 
     Requires the domination number to equal ``k`` (checked).  The graph is
@@ -207,11 +209,19 @@ def is_well_dominated_bounded_k(graph: Graph, k: int) -> RecognitionReport:
     closed-neighborhood hypergraph has size ``k``, which
     ``all_minimal_transversals_have_size`` decides in polynomial time for
     fixed ``k``; its oversized minimal transversal is the large witness.
+
+    ``_cover`` is internal to :func:`recognize`: the mask of the minimum
+    dominating set its own search found, taken as is instead of searched for
+    again.  Passing it here, rather than to a separate function, keeps every
+    dispatch to this recognizer a call of this function.
     """
     _require_nonempty(graph)
-    small = minimum_dominating_set(graph)
-    if len(small) != k:
-        raise ValueError(f"domination number is {len(small)}, not {k}")
+    if _cover is None:
+        small = minimum_dominating_set(graph)
+        if len(small) != k:
+            raise ValueError(f"domination number is {len(small)}, not {k}")
+    else:
+        small = VertexSet.from_mask(graph.n, _cover)
     ok, deviant = all_minimal_transversals_have_size(neighborhood_hypergraph(graph), k)
     if ok:
         return RecognitionReport(
@@ -243,13 +253,15 @@ def recognize(
     # the domination number is searched only as far as a polynomial
     # recognizer reaches; above that the enumeration cap decides first
     reach = max(2, bounded_k_threshold)
-    gamma_val = next(
-        (k for k in range(1, reach + 1) if _find_cover(graph, k, True) is not None), None
-    )
+    covers = (_find_cover(graph, k, True) for k in range(1, reach + 1))
+    # the first cover found is a minimum dominating set, the one that
+    # minimum_dominating_set would return
+    cover = next((c for c in covers if c is not None), None)
+    gamma_val = None if cover is None else cover.bit_count()
     if gamma_val == 2:
         return is_well_dominated_gamma2(graph)
     if gamma_val is not None and gamma_val <= bounded_k_threshold:
-        return is_well_dominated_bounded_k(graph, gamma_val)
+        return is_well_dominated_bounded_k(graph, gamma_val, _cover=cover)
     return is_well_dominated_enum(graph, cap)
 
 

@@ -535,11 +535,16 @@ def check_irreducible_sets(scale: Scale, rng: Random) -> CheckResult:
     """Characterization of irreducible sets against the direct definition over
     every subset of every small graph, containment of minimal dominating and
     minimal total dominating sets, the low-degree sufficient condition, and
-    the complete-graph census."""
+    the complete-graph census.  On every graph the enumerator's list must also
+    equal the brute-force one, in order; that comparison is not counted as an
+    instance."""
     bad = 0
     instances = 0
     for n in range(1, scale.subsets_family_max + 1):
         for g in nonisomorphic_graphs(n):
+            want = bruteforce.irreducible_dominating_sets(g)
+            if enumerate_irreducible_dominating_sets(g) != want:
+                bad += 1
             for mask in range(1 << n):
                 d = VertexSet.from_mask(n, mask)
                 instances += 1

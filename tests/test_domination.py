@@ -247,6 +247,24 @@ class TestEnumerators:
             g
         ) == bruteforce.irreducible_dominating_sets(g)
 
+    def test_irreducible_matches_brute_force_on_larger_graphs(self):
+        # members supported only by a leaf neighbor: the center of a star, and
+        # pendant paths next to isolated vertices (0, 1 and 11)
+        star = Graph(9, [(0, v) for v in range(1, 9)])
+        pendants = Graph(
+            12, [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8), (8, 9), (6, 10)]
+        )
+        rng = Random(14)
+        cases = [star, pendants] + [
+            random_graph(rng.randint(8, 14), rng, p / 10)
+            for _ in range(6)
+            for p in range(1, 8)
+        ]
+        for g in cases:
+            assert enumerate_irreducible_dominating_sets(
+                g
+            ) == bruteforce.irreducible_dominating_sets(g)
+
     def test_irreducible_searches_deeper_than_the_recursion_limit(self):
         got = enumerate_irreducible_dominating_sets(edgeless_graph(1100), cap=1100)
         assert got == [VertexSet.from_mask(1100, (1 << 1100) - 1)]
