@@ -84,18 +84,26 @@ def _leaves_mask(graph: Graph, dmask: int) -> int:
     return out
 
 
-def _has_private_closed_neighbor(graph: Graph, dmask: int, u: int) -> bool:
-    bu = 1 << u
-    for v in iter_bits(graph.closed_mask(u)):
-        if graph.closed_mask(v) & dmask == bu:
-            return True
-    return False
+def _private_cover(graph: Graph, dmask: int) -> tuple[int, int]:
+    """The vertices dominated by ``dmask``, and those dominated exactly once.
+
+    A vertex v is a private closed neighbor of a member u exactly when v lies
+    in N[u] and N[v] meets the set only in u, that is, when v is in N[u] and
+    in the second mask.  One pass over the members builds both masks.
+    """
+    once = twice = 0
+    for u in iter_bits(dmask):
+        c = graph.closed_mask(u)
+        twice |= once & c
+        once |= c
+    return once, once & ~twice
 
 
 def _redundant_mask(graph: Graph, dmask: int) -> int:
+    _, private = _private_cover(graph, dmask)
     out = 0
     for u in iter_bits(dmask):
-        if not _has_private_closed_neighbor(graph, dmask, u):
+        if not graph.closed_mask(u) & private:
             out |= 1 << u
     return out
 
@@ -124,18 +132,15 @@ def private_closed_neighbors(graph: Graph, d: VertexSet, u: int) -> VertexSet:
     _check_universe(graph, d)
     if u not in d:
         raise ValueError(f"vertex {u} is not a member of the set")
-    bu = 1 << u
-    out = 0
-    for v in iter_bits(graph.closed_mask(u)):
-        if graph.closed_mask(v) & d.mask == bu:
-            out |= 1 << v
-    return VertexSet.from_mask(graph.n, out)
+    _, private = _private_cover(graph, d.mask)
+    return VertexSet.from_mask(graph.n, graph.closed_mask(u) & private)
 
 
 def _is_minimal_dominating_mask(graph: Graph, dmask: int) -> bool:
-    if _closed_union(graph, dmask) != graph.full_mask:
+    dominated, private = _private_cover(graph, dmask)
+    if dominated != graph.full_mask:
         return False
-    return all(_has_private_closed_neighbor(graph, dmask, u) for u in iter_bits(dmask))
+    return all(graph.closed_mask(u) & private for u in iter_bits(dmask))
 
 
 def is_minimal_dominating(graph: Graph, d: VertexSet) -> bool:
@@ -146,15 +151,14 @@ def is_minimal_dominating(graph: Graph, d: VertexSet) -> bool:
 
 
 def _is_irreducible_mask(graph: Graph, dmask: int) -> bool:
-    if _closed_union(graph, dmask) != graph.full_mask:
+    dominated, private = _private_cover(graph, dmask)
+    if dominated != graph.full_mask:
         return False
     leaves = _leaves_mask(graph, dmask)
-    for u in iter_bits(dmask):
-        if graph.adj_mask(u) & leaves:
-            continue
-        if not _has_private_closed_neighbor(graph, dmask, u):
-            return False
-    return True
+    return all(
+        graph.adj_mask(u) & leaves or graph.closed_mask(u) & private
+        for u in iter_bits(dmask)
+    )
 
 
 def is_irreducible_dominating(graph: Graph, d: VertexSet) -> bool:

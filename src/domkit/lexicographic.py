@@ -112,23 +112,32 @@ class ProductSet:
         raise AttributeError("ProductSet is immutable")
 
     @classmethod
-    def _from_sorted_pairs(
-        cls, base_n: int, fiber_n: int, pairs: tuple[tuple[int, int], ...]
-    ) -> "ProductSet":
-        """Wrap pairs that are already in canonical form, without checking them.
+    def _wrap_sorted(
+        cls, base_n: int, fiber_n: int, raw: list[tuple[tuple[int, int], ...]]
+    ) -> list["ProductSet"]:
+        """Wrap pair tuples that are already in canonical form, without checking them.
 
-        Precondition: ``pairs`` is a tuple of ``(g, h)`` int tuples, strictly
-        ascending (so sorted and duplicate-free), with ``0 <= g < base_n`` and
-        ``0 <= h < fiber_n``.  The result then equals
-        ``ProductSet(base_n, fiber_n, pairs)``; the caller is responsible for
-        the precondition, which is what lets the product enumerator skip the
-        sort and the per-pair checks of the public constructor.
+        Precondition: every item of ``raw`` is a tuple of ``(g, h)`` int
+        tuples, strictly ascending (so sorted and duplicate-free), with
+        ``0 <= g < base_n`` and ``0 <= h < fiber_n``.  Each item is then
+        replaced, in place, by a set equal to ``ProductSet(base_n, fiber_n,
+        pairs)``, and ``raw`` is returned; the caller is responsible for the
+        precondition, which is what lets the product enumerator skip the sort
+        and the per-pair checks of the public constructor.  The allocator and
+        the three slots' setters are looked up once for the whole list, not
+        once per set.
         """
-        self = object.__new__(cls)
-        object.__setattr__(self, "base_n", base_n)
-        object.__setattr__(self, "fiber_n", fiber_n)
-        object.__setattr__(self, "pairs", pairs)
-        return self
+        new = object.__new__
+        set_base_n = cls.base_n.__set__
+        set_fiber_n = cls.fiber_n.__set__
+        set_pairs = cls.pairs.__set__
+        for i, pairs in enumerate(raw):
+            self = new(cls)
+            set_base_n(self, base_n)
+            set_fiber_n(self, fiber_n)
+            set_pairs(self, pairs)
+            raw[i] = self
+        return raw
 
     @classmethod
     def from_flat(cls, product: ProductGraph, flat: VertexSet) -> "ProductSet":
@@ -180,8 +189,8 @@ def project(d: ProductSet) -> tuple[VertexSet, dict[int, VertexSet]]:
     return d.projection(), d.fibers()
 
 
-def _check_product_set(product: ProductGraph, d: ProductSet) -> None:
-    if d.base_n != product.base.n or d.fiber_n != product.fiber.n:
+def _check_product_set(base: Graph, fiber: Graph, d: ProductSet) -> None:
+    if d.base_n != base.n or d.fiber_n != fiber.n:
         raise ValueError("product set universe does not match the product")
 
 
@@ -194,7 +203,7 @@ def dominates_product_vertex(
     or the fiber over g dominates h in the fiber graph; this matches the
     direct adjacency test in the flattened graph.
     """
-    _check_product_set(product, d)
+    _check_product_set(product.base, product.fiber, d)
     g, h = vertex
     if not (0 <= g < product.base.n and 0 <= h < product.fiber.n):
         raise ValueError(f"pair ({g}, {h}) outside the product universe")
@@ -216,7 +225,7 @@ def is_dominating_product(product: ProductGraph, d: ProductSet) -> bool:
     vertex that the projection dominates only barely (no projected neighbor)
     must dominate the whole fiber graph.
     """
-    _check_product_set(product, d)
+    _check_product_set(product.base, product.fiber, d)
     base = product.base
     proj = d.projection()
     if not is_dominating(base, proj):
@@ -255,8 +264,16 @@ class ProductMinimalityReport:
 
 def check_minimal_product(product: ProductGraph, d: ProductSet) -> ProductMinimalityReport:
     """Evaluate the three structural minimality conditions for a product set."""
-    _check_product_set(product, d)
-    base, fiber_graph = product.base, product.fiber
+    return _minimality(product.base, product.fiber, d)
+
+
+def _minimality(base: Graph, fiber_graph: Graph, d: ProductSet) -> ProductMinimalityReport:
+    """:func:`check_minimal_product` from the factors alone.
+
+    Reads nothing but the two factors and ``d``, so a caller that holds no
+    :class:`ProductGraph` never builds the flattened product to ask.
+    """
+    _check_product_set(base, fiber_graph, d)
     proj = d.projection()
     fibers = d.fibers()
 
@@ -295,7 +312,7 @@ def _pair_blocks(
     """One block per option: the pairs (x, h) for the option's ascending h.
 
     Every pair is range-checked here, once, so that sets concatenated from
-    these blocks meet the precondition of :meth:`ProductSet._from_sorted_pairs`.
+    these blocks meet the precondition of :meth:`ProductSet._wrap_sorted`.
     """
     blocks = tuple(tuple((x, h) for h in option) for option in options)
     for block in blocks:
@@ -319,24 +336,41 @@ def _leaf_admissible(
     """Restrictions of ``choice_lists`` (one per member of ``p``) to the leaf condition.
 
     Every redundant member of ``p`` needs a leaf neighbor whose fiber vertex
-    is not universal.  Leaves are totally dominated, so their blocks are
-    single pairs.  Each leaf the condition names is either restricted to its
-    universal or to its other fiber vertices, and the condition is tested
-    once per such pattern; the patterns are disjoint, so every admissible
-    combination lies under exactly one returned restriction.
+    is not universal.  Without a redundant member every combination is
+    admissible, and with one but a complete fiber graph none is.  Otherwise
+    the leaves the condition names are totally dominated, so their blocks
+    are single pairs, and each is split once into its non-universal and its
+    universal blocks; both parts are non-empty, since the enumerator calls
+    this only for a fiber graph with a universal vertex, and this one also
+    has a vertex that is not.  Each named leaf is then
+    restricted to one part, and the condition is tested once per such
+    pattern; the patterns are disjoint, so every admissible combination lies
+    under exactly one returned restriction.
     """
-    leaves = _leaves_mask(base, p.mask)
-    supports = [base.adj_mask(r) & leaves for r in iter_bits(_redundant_mask(base, p.mask))]
-    if not supports:
+    redundant = _redundant_mask(base, p.mask)
+    if not redundant:
         return [choice_lists]
+    if all(universal):
+        return []
+    leaves = _leaves_mask(base, p.mask)
+    supports = [base.adj_mask(r) & leaves for r in iter_bits(redundant)]
     union = 0
     for s in supports:
         union |= s
     named = tuple(iter_bits(union))
     position = {x: i for i, x in enumerate(p.members)}
+    # parts[j][u]: the blocks of leaf named[j] whose fiber vertex is
+    # universal (u = True) or not (u = False)
+    parts = []
+    for y in named:
+        blocks = choice_lists[position[y]]
+        parts.append((
+            [b for b in blocks if not universal[b[0][1]]],
+            [b for b in blocks if universal[b[0][1]]],
+        ))
     out = []
     for kinds in itertools.product((False, True), repeat=len(named)):
-        # kinds[i]: leaf named[i] gets a universal fiber vertex
+        # kinds[j]: leaf named[j] gets a universal fiber vertex
         free = 0
         for y, is_universal in zip(named, kinds):
             if not is_universal:
@@ -344,11 +378,9 @@ def _leaf_admissible(
         if not all(s & free for s in supports):
             continue
         lists = list(choice_lists)
-        for y, is_universal in zip(named, kinds):
-            i = position[y]
-            lists[i] = [b for b in lists[i] if universal[b[0][1]] == is_universal]
-        if all(lists):
-            out.append(lists)
+        for y, split, is_universal in zip(named, parts, kinds):
+            lists[position[y]] = split[is_universal]
+        out.append(lists)
     return out
 
 
@@ -371,12 +403,17 @@ def enumerate_minimal_dominating_sets_product(
     uses it.  Leaves are totally dominated, so their options are single
     fiber vertices; the leaf condition depends only on which of them are
     universal, and is tested once per such pattern of the leaves it names
-    rather than once per set.  Members ascend and each option ascends, so a
-    set's pairs are the concatenation of its blocks, already canonical.
+    rather than once per set (see :func:`_leaf_admissible`, which reads the
+    redundant members off one bitmask pass).  Members ascend and each option
+    ascends, so a set's pairs are the concatenation of its blocks, already
+    canonical.
 
     The canonical order is by size, then by pairs.  The raw pair tuples are
     sorted in two passes, by pairs and then stably by ``len``, so no key
-    tuple is built per set; only then is each wrapped as a :class:`ProductSet`.
+    tuple is built per set; only then are they wrapped as
+    :class:`ProductSet` objects, in place and in one call to
+    :meth:`ProductSet._wrap_sorted`, so the per-set cost after the
+    concatenation is one allocation and three slot stores.
 
     The cap guards the factor sizes, not the flattened size, so products far
     beyond the flattened enumeration range stay reachable.
@@ -409,8 +446,7 @@ def enumerate_minimal_dominating_sets_product(
             raw.extend(_concatenations(lists))
     raw.sort()
     raw.sort(key=len)
-    new = ProductSet._from_sorted_pairs
-    return [new(base_n, fiber_n, pairs) for pairs in raw]
+    return ProductSet._wrap_sorted(base_n, fiber_n, raw)
 
 
 def gamma_product(base: Graph, fiber: Graph) -> int:

@@ -116,6 +116,37 @@ class TestPrivateNeighbors:
             private_closed_neighbors(p5, vs(5, [1, 3]), 2)
 
 
+class TestPrivateCoverMask:
+    def test_matches_per_vertex_definition_exhaustively(self):
+        # Redundancy, leaves, minimality and irreducibility all read private
+        # closed neighbors off one "dominated exactly once" mask; here they
+        # are spelled out vertex by vertex: v is a private closed neighbor
+        # of u when v is in N[u] and N[v] meets the set exactly in {u}.
+        for n in range(1, 7):
+            for g in nonisomorphic_graphs(n):
+                closed = [{w for w in range(n) if w == v or g.adjacent(v, w)} for v in range(n)]
+                for mask in range(1 << n):
+                    d = VertexSet.from_mask(n, mask)
+                    members = set(d)
+                    private = {
+                        u: {v for v in closed[u] if closed[v] & members == {u}}
+                        for u in members
+                    }
+                    leaves = {u for u in members if len(closed[u] & members) == 2}
+                    redundant = {u for u in members if not private[u]}
+                    dominating = all(closed[v] & members for v in range(n))
+                    irreducible = dominating and all(
+                        private[u] or (closed[u] - {u}) & leaves for u in members
+                    )
+                    info = classify(g, d)
+                    assert set(info.redundant) == redundant
+                    assert set(info.leaves) == leaves
+                    assert is_minimal_dominating(g, d) == (dominating and not redundant)
+                    assert is_irreducible_dominating(g, d) == irreducible
+                    for u in members:
+                        assert set(private_closed_neighbors(g, d, u)) == private[u]
+
+
 class TestIrreducible:
     def test_complete_graph_cases(self, k3):
         assert not is_irreducible_dominating(k3, vs(3, [0, 1, 2]))

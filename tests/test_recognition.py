@@ -31,6 +31,8 @@ from domkit.recognition import (
     recognize,
 )
 
+from test_golden_witnesses import CASES
+
 
 class TestEnumerationMethod:
     def test_c4(self, c4):
@@ -236,6 +238,22 @@ class TestLexMethod:
             got = is_well_dominated_lex(base, fiber)
             want = is_well_dominated_enum(lex_product(base, fiber).graph)
             assert got.verdict == want.verdict
+
+
+def test_lex_witnesses_never_build_the_flattened_product(monkeypatch):
+    lex_cases = [graphs for name, (graphs, _) in sorted(CASES.items()) if name.startswith("lex-")]
+    assert len(lex_cases) == 4
+    want = [is_well_dominated_lex(base, fiber).to_dict() for base, fiber in lex_cases]
+
+    def refuse(self, base, fiber):
+        raise AssertionError("the flattened product was built")
+
+    monkeypatch.setattr(domkit.lexicographic.ProductGraph, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        lex_product(path_graph(2), path_graph(2))
+    got = [is_well_dominated_lex(base, fiber).to_dict() for base, fiber in lex_cases]
+    assert not any(report["verdict"] for report in got)
+    assert got == want
 
 
 BAD_WITNESS_SCRIPT = """
