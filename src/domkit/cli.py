@@ -62,12 +62,13 @@ def _fmt_set(s: VertexSet) -> str:
 
 def _cmd_stats(args) -> int:
     graph = _load_graph(args.graph)
+    # first, so that a graph above the cap fails before the exact searches
+    ug_val = upper_gamma(graph, args.cap)
     g_val = gamma(graph)
     try:
         gt_val: int | None = gamma_t(graph)
     except ValueError:
         gt_val = None
-    ug_val = upper_gamma(graph, args.cap)
     a_val = alpha(graph)
     if args.json:
         print(

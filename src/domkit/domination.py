@@ -355,8 +355,12 @@ def enumerate_minimal_dominating_sets(
 
 
 def upper_gamma(graph: Graph, cap: int | None = None) -> int:
-    """Upper domination number: the largest size of a minimal dominating set."""
-    return max(len(d) for d in enumerate_minimal_dominating_sets(graph, cap))
+    """Upper domination number: the largest size of a minimal dominating set.
+
+    The enumeration is in canonical order, by size first, so the largest
+    set is the last one.  Its cap check comes before any search.
+    """
+    return len(enumerate_minimal_dominating_sets(graph, cap)[-1])
 
 
 def enumerate_irreducible_dominating_sets(
@@ -420,4 +424,4 @@ def enumerate_irreducible_dominating_sets(
     # finishes it.
     found.reverse()
     found.sort(key=int.bit_count)
-    return [VertexSet.from_mask(n, m) for m in found]
+    return VertexSet._wrap(n, found)

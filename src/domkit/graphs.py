@@ -34,6 +34,23 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _byte_member_tables(nbytes: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Table k, entry b: the vertices 8k + i for the set bits i of the byte b."""
+    tables = []
+    for k in range(nbytes):
+        row: list[tuple[int, ...]] = [()]
+        for v in range(8 * k, 8 * k + 8):
+            row += [t + (v,) for t in row]
+        tables.append(tuple(row))
+    return tuple(tables)
+
+
+# Built whole at import and never changed, so readers need no lock; masks of
+# wider sets fall back to ``iter_bits``.
+_BYTE_MEMBERS = _byte_member_tables(8)
+_TABLE_BITS = 8 * len(_BYTE_MEMBERS)
+
+
 class VertexSet:
     """Immutable subset of {0, ..., universe_size - 1}.
 
@@ -63,12 +80,45 @@ class VertexSet:
         object.__setattr__(self, "mask", mask)
         return self
 
+    @classmethod
+    def _wrap(cls, universe_size: int, masks: list[int]) -> list["VertexSet"]:
+        """Wrap masks that already lie in the universe, without checking them.
+
+        Precondition: every item of ``masks`` is an int with
+        ``0 <= m < 1 << universe_size``, and ``universe_size >= 0``.  Each item
+        is then replaced, in place, by a set equal to
+        ``VertexSet.from_mask(universe_size, m)``, and ``masks`` is returned;
+        the caller is responsible for the precondition, which is what lets an
+        enumerator skip the range check of ``from_mask``.  The allocator and
+        the two slots' setters are looked up once for the whole list, not
+        once per set.
+        """
+        new = object.__new__
+        set_universe_size = cls.universe_size.__set__
+        set_mask = cls.mask.__set__
+        for i, m in enumerate(masks):
+            self = new(cls)
+            set_universe_size(self, universe_size)
+            set_mask(self, m)
+            masks[i] = self
+        return masks
+
     def __setattr__(self, name, value):
         raise AttributeError("VertexSet is immutable")
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.mask))
+        """The members in ascending order, joined byte by byte from tables."""
+        mask = self.mask
+        if mask >> _TABLE_BITS:
+            return tuple(iter_bits(mask))
+        out: tuple[int, ...] = ()
+        for table in _BYTE_MEMBERS:
+            if not mask:
+                break
+            out += table[mask & 255]
+            mask >>= 8
+        return out
 
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self.mask)
@@ -106,8 +156,12 @@ class VertexSet:
 
 
 def set_sort_key(s: VertexSet) -> tuple[int, tuple[int, ...]]:
-    """Canonical ordering for lists of vertex sets: by size, then lexicographic."""
-    return (len(s), s.members)
+    """Canonical ordering for lists of vertex sets: by size, then lexicographic.
+
+    The brute-force oracles sort by this key, so it lists the members with
+    ``iter_bits`` rather than through the tables behind ``members``.
+    """
+    return (len(s), tuple(iter_bits(s.mask)))
 
 
 class Graph:

@@ -33,7 +33,6 @@ from .graphs import (
     _minimalize,
     _parse_records,
     iter_bits,
-    set_sort_key,
 )
 
 
@@ -129,32 +128,58 @@ def _edge_incidence(n: int, edges: list[int] | tuple[int, ...]) -> list[int]:
 def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
     """All minimal transversals, canonically ordered.
 
-    MMCS with an explicit stack: branch on the uncovered edge with the fewest
-    candidates; the child that adds v may later add only the vertices of that
-    edge tried before v, so each transversal is reached once.  A child is
-    skipped when a member would lose its last critical edge (one that it
-    alone hits), which no superset regains.
+    MMCS with an explicit stack: branch on the first uncovered edge, in edge
+    order, with the fewest candidates; the child that adds v may later add
+    only the vertices of that edge tried before v, so each transversal is
+    reached once.  A child is skipped when a member would lose its last
+    critical edge (one that it alone hits), which no superset regains.
+
+    A frame holds its set twice: vertex v at bit v and again, mirrored, at
+    bit 2n - 1 - v.  Of two sets of one size, the canonical (lexicographic)
+    first holds the lowest vertex of their symmetric difference, so its
+    mirror is the larger; the mirror fills the high bits, so it decides the
+    comparison of the whole ints.  A descending sort and then a stable sort
+    by bit count therefore give the canonical order with no key tuple per
+    set, and ``c & full`` recovers each set.
     """
+    n = h.n
+    full = (1 << n) - 1
+    both = [1 << v | 1 << (2 * n - 1 - v) for v in range(n)]
     edges = sorted(set(h.edge_masks))
-    incidence = _edge_incidence(h.n, edges)
+    incidence = _edge_incidence(n, edges)
     found = []
-    # frame: the set, each member's critical edges, uncovered edges, candidates
-    stack = [(0, [], (1 << len(edges)) - 1, (1 << h.n) - 1)]
+    # frame: the mirrored set, each member's critical edges, uncovered edges,
+    # candidates
+    stack = [(0, [], (1 << len(edges)) - 1, full)]
     while stack:
         chosen, crit, uncov, cand = stack.pop()
         if not uncov:
             found.append(chosen)
             continue
-        branch = min((edges[i] & cand for i in iter_bits(uncov)), key=int.bit_count)
+        branch, fewest, rest = 0, n + 1, uncov
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            e = edges[low.bit_length() - 1] & cand
+            size = e.bit_count()
+            if size < fewest:
+                branch, fewest = e, size
+                if not size:  # a dead end: no vertex can cover this edge
+                    break
         cand &= ~branch
-        for v in iter_bits(branch):
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            v = low.bit_length() - 1
             hit = incidence[v]
             kept = [c & ~hit for c in crit]
             if 0 not in kept:
                 kept.append(uncov & hit)
-                stack.append((chosen | 1 << v, kept, uncov & ~hit, cand))
-            cand |= 1 << v
-    return sorted((VertexSet.from_mask(h.n, m) for m in found), key=set_sort_key)
+                stack.append((chosen | both[v], kept, uncov & ~hit, cand))
+            cand |= low
+    found.sort(reverse=True)
+    found.sort(key=int.bit_count)
+    return VertexSet._wrap(n, [c & full for c in found])
 
 
 def minimal_transversals_up_to_size(h: Hypergraph, k: int) -> list[VertexSet]:

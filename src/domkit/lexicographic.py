@@ -27,6 +27,7 @@ from .domination import (
     _check_cap,
     _leaves_mask,
     _redundant_mask,
+    _require_nonempty,
     classify,
     enumerate_irreducible_dominating_sets,
     enumerate_minimal_dominating_sets,
@@ -494,6 +495,13 @@ def upper_gamma_product_bound(
 def _upper_gamma_product_bound(
     base: Graph, fiber: Graph, cap: int | None = None
 ) -> tuple[int, int]:
-    """The bound alpha(base) * Gamma(fiber) and the product's upper domination."""
-    bound = alpha(base) * upper_gamma(fiber, cap)
+    """The bound alpha(base) * Gamma(fiber) and the product's upper domination.
+
+    Both factors' caps are checked before the exact search for alpha(base),
+    and each input raises the error it would raise if alpha(base) ran first.
+    """
+    _require_nonempty(base)
+    fiber_upper = upper_gamma(fiber, cap)
+    _check_cap(base.n, cap)
+    bound = alpha(base) * fiber_upper
     return bound, len(enumerate_minimal_dominating_sets_product(base, fiber, cap)[-1])

@@ -73,6 +73,19 @@ class TestStats:
             "error: graph has 1100 vertices, above the enumeration cap 24\n"
         )
 
+    def test_cap_error_comes_before_the_exact_searches(self, tmp_path, monkeypatch, capsys):
+        def exact_search(graph):
+            raise AssertionError("an exact search ran before the cap check")
+
+        for name in ("gamma", "gamma_t", "alpha"):
+            monkeypatch.setattr(domkit.cli, name, exact_search)
+        path = tmp_path / "c25.el"
+        path.write_text(write_graph(cycle_graph(25)))
+        assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph has 25 vertices, above the enumeration cap 24\n"
+
 
 class TestCheckSet:
     def test_dominating_set(self, p5_file, capsys):

@@ -18,6 +18,7 @@ from domkit.graphs import (
     is_complete,
     is_edgeless,
     isolated_vertices,
+    iter_bits,
     neighborhood_of_set,
     open_neighborhood,
     parse_graph,
@@ -49,6 +50,20 @@ class TestVertexSet:
         s = VertexSet(3, [0])
         with pytest.raises(AttributeError):
             s.mask = 7
+
+    def test_members_across_the_member_tables(self):
+        bits = (0, 7, 8, 15, 16, 23, 24, 63, 64, 1099)
+        masks = [0] + [1 << b for b in bits]
+        masks += [sum(1 << b for b in bits if b <= top) for top in bits]
+        masks += [(1 << top) - 1 for top in (8, 24, 64, 65, 1100)]
+        for mask in masks:
+            assert VertexSet.from_mask(1100, mask).members == tuple(iter_bits(mask))
+
+    def test_bulk_wrap_matches_from_mask(self):
+        for n, masks in ((0, [0]), (5, [0, 1, 31, 18]), (70, [1 << 69, (1 << 70) - 1, 0])):
+            wrapped = VertexSet._wrap(n, list(masks))
+            assert wrapped == [VertexSet.from_mask(n, m) for m in masks]
+            assert all(type(s) is VertexSet for s in wrapped)
 
     def test_set_algebra(self):
         a = VertexSet(5, [0, 1, 3])

@@ -21,7 +21,7 @@ from domkit.domination import (
     is_minimal_dominating,
     neighborhood_hypergraph,
 )
-from domkit.graphs import GraphParseError, VertexSet
+from domkit.graphs import GraphParseError, VertexSet, set_sort_key
 from domkit.hypergraphs import (
     Hypergraph,
     all_minimal_transversals_have_size,
@@ -126,6 +126,21 @@ class TestEnumeration:
         got = enumerate_minimal_transversals(h)
         assert got == bruteforce.minimal_transversals(h)
         assert all(is_minimal_transversal(h, x) for x in got)
+
+    def test_order_across_byte_boundaries(self):
+        # the property tests above stay below 8 vertices, where the mirrored
+        # bits and the member tables never cross a byte
+        rng = Random(9)
+        for n in range(9, 17):
+            for _ in range(2):
+                h = random_sperner_hypergraph(n, rng, max_edges=8)
+                assert enumerate_minimal_transversals(h) == bruteforce.minimal_transversals(h)
+        instances = [random_sperner_hypergraph(n, rng, max_edges=6) for n in range(9, 31)]
+        instances += [neighborhood_hypergraph(random_graph(n, rng, 0.3)) for n in (24, 30)]
+        for h in instances:
+            got = enumerate_minimal_transversals(h)
+            assert got == sorted(got, key=set_sort_key)
+            assert [x.members for x in got] == [tuple(x) for x in got]
 
     @given(hypergraphs_strategy())
     @settings(max_examples=100)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import domkit.lexicographic
 from domkit import bruteforce
 from domkit.domination import (
     EnumerationCapExceeded,
@@ -346,3 +347,21 @@ class TestUpperGammaBound:
     def test_pinned_values(self):
         assert upper_gamma_product_bound(path_graph(5), path_graph(3)) == (6, True)
         assert upper_gamma_product_bound(cycle_graph(5), complete_graph(3)) == (2, True)
+
+    def test_caps_are_checked_before_the_exact_alpha(self, monkeypatch):
+        def exact_search(graph):
+            raise AssertionError("alpha ran before the cap checks")
+
+        monkeypatch.setattr(domkit.lexicographic, "alpha", exact_search)
+        big, small = cycle_graph(25), path_graph(3)
+        capped = (EnumerationCapExceeded, "graph has {} vertices, above the enumeration cap 24")
+        empty = (ValueError, "operation undefined on the zero-vertex graph")
+        cases = [
+            (big, small, capped, 25),
+            (big, Graph(30), capped, 30),
+            (big, Graph(0), empty, None),
+            (Graph(0), Graph(30), empty, None),
+        ]
+        for base, fiber, (error, message), n in cases:
+            with pytest.raises(error, match=message.format(n)):
+                upper_gamma_product_bound(base, fiber)
