@@ -18,6 +18,8 @@ from pathlib import Path
 
 from .domination import (
     EnumerationCapExceeded,
+    _check_cap,
+    _minimum_dominating_within,
     alpha,
     classify,
     enumerate_minimal_dominating_sets,
@@ -28,11 +30,16 @@ from .domination import (
     is_minimal_dominating,
     is_minimal_total_dominating,
     is_total_dominating,
-    upper_gamma,
 )
+
+# perfbench/tracer.py wraps gamma and upper_gamma in this module; upper_gamma
+# is no longer called here (``stats`` reads gamma and Gamma off one
+# enumeration), but stays imported so that the wrap still finds it
+from .domination import upper_gamma  # noqa: F401
 from .graphs import Graph, GraphParseError, VertexSet, parse_graph, write_graph
 from .lexicographic import lex_product
 from .recognition import (
+    DEFAULT_BOUNDED_K_THRESHOLD,
     RecognitionReport,
     is_well_dominated_bounded_k,
     is_well_dominated_enum,
@@ -62,9 +69,11 @@ def _fmt_set(s: VertexSet) -> str:
 
 def _cmd_stats(args) -> int:
     graph = _load_graph(args.graph)
-    # first, so that a graph above the cap fails before the exact searches
-    ug_val = upper_gamma(graph, args.cap)
-    g_val = gamma(graph)
+    # first, so that a graph above the cap fails before the exact searches;
+    # canonical order is by size, so the first set is a minimum one and the
+    # last a largest one
+    sets = enumerate_minimal_dominating_sets(graph, args.cap)
+    g_val, ug_val = len(sets[0]), len(sets[-1])
     try:
         gt_val: int | None = gamma_t(graph)
     except ValueError:
@@ -214,11 +223,26 @@ def _cmd_well_dominated(args) -> int:
     elif args.method == "gamma2":
         report = is_well_dominated_gamma2(graph)
     elif args.method == "bounded-k":
-        k = args.k if args.k is not None else gamma(graph)
-        report = is_well_dominated_bounded_k(graph, k)
+        report = _bounded_k(graph, args.k, args.cap)
     else:
         report = recognize(graph, args.cap)
     return _print_recognition(report, args.json)
+
+
+def _bounded_k(graph: Graph, k: int | None, cap: int | None) -> RecognitionReport:
+    """``--method bounded-k``, with the domination number found when ``k`` is None.
+
+    The domination number is searched as far as ``recognize`` searches it,
+    and a cover found there is handed over rather than searched for again.
+    A larger one needs the exact search, which runs only within the cap.
+    """
+    if k is not None:
+        return is_well_dominated_bounded_k(graph, k)
+    cover = _minimum_dominating_within(graph, DEFAULT_BOUNDED_K_THRESHOLD)
+    if cover is not None:
+        return is_well_dominated_bounded_k(graph, cover.bit_count(), _cover=cover)
+    _check_cap(graph.n, cap)
+    return is_well_dominated_bounded_k(graph, gamma(graph))
 
 
 def _cmd_verify(args) -> int:

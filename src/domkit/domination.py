@@ -247,6 +247,19 @@ def _find_cover(graph: Graph, k: int, closed: bool) -> int | None:
     return None
 
 
+def _minimum_dominating_within(graph: Graph, reach: int) -> int | None:
+    """The mask of a minimum dominating set if the domination number is at most ``reach``.
+
+    Searches sizes 1, 2, ..., ``reach`` in turn, O(n^k) steps for size k,
+    and returns None when none of them dominates, without searching
+    further.  The first cover found is the one that
+    :func:`minimum_dominating_set` returns.
+    """
+    _require_nonempty(graph)
+    covers = (_find_cover(graph, k, True) for k in range(1, reach + 1))
+    return next((c for c in covers if c is not None), None)
+
+
 def _minimum_cover(graph: Graph, closed: bool) -> VertexSet:
     """A smallest set whose (closed or open) neighborhoods cover all vertices,
     by increasing-size bounded search up to the greedy bound."""

@@ -24,6 +24,7 @@ from .graphs import (
     iter_bits,
 )
 from .domination import (
+    DEFAULT_ENUMERATION_CAP,
     _check_cap,
     _leaves_mask,
     _redundant_mask,
@@ -90,82 +91,150 @@ def lex_product(base: Graph, fiber: Graph) -> ProductGraph:
     return ProductGraph(base, fiber)
 
 
-class ProductSet:
-    """Subset of a product's vertices, kept as sorted (g, h) pairs.
+# Pair tables are kept for fiber graphs and flattened universes within the
+# default enumeration cap (and its square); wider sets decode their pairs
+# one member at a time.
+_PAIR_TABLE_FIBER_N = DEFAULT_ENUMERATION_CAP
+_PAIR_TABLE_BITS = DEFAULT_ENUMERATION_CAP**2
+# fiber_n -> its pair tables, one per 4-bit digit of the flat mask
+_PAIR_TABLES: dict[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]] = {}
 
-    The base projection and the per-vertex fibers are derived on demand; the
-    set always equals the disjoint union of {x} x fiber(x) over the projected
-    vertices x, and flattening is exact in both directions.
+
+def _pair_tables(
+    fiber_n: int, ndigits: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """At least ``ndigits`` pair tables for a fiber graph of ``fiber_n`` vertices.
+
+    Table k, entry b (0 <= b < 16): the pairs of the flat vertices 4k + i
+    for the set bits i of b.  The pair of flat vertex v is
+    ``divmod(v, fiber_n)`` whatever the base, so the tables depend on the
+    fiber's size alone and every product shape with that fiber reads the
+    same ones.  Each pair is one tuple, made once when its table is built
+    and shared by every entry, and so by every set that holds it.  Tables
+    are added whole, and a longer tuple of them replaces the shorter one in
+    one store, so readers need no lock; two threads that grow the same
+    fiber's tables at once each build a correct copy, and one is kept.
+    Four-bit digits keep a table at 16 entries and about 1 KB; a byte table
+    would decode about a third faster but hold some 20 KB.
+    """
+    tables = _PAIR_TABLES.get(fiber_n, ())
+    if len(tables) < ndigits:
+        grown = list(tables)
+        for k in range(len(tables), ndigits):
+            row: list[tuple[tuple[int, int], ...]] = [()]
+            for v in range(4 * k, 4 * k + 4):
+                pair = divmod(v, fiber_n)
+                row += [t + (pair,) for t in row]
+            grown.append(tuple(row))
+        tables = _PAIR_TABLES[fiber_n] = tuple(grown)
+    return tables
+
+
+class ProductSet:
+    """Subset of a product's vertices, kept as one flat bitmask.
+
+    Bit g * fiber_n + h of ``mask`` stands for the pair (g, h), so ``mask``
+    is the mask of the flattened set.  The pairs, the base projection and
+    the per-vertex fibers are derived from it on demand; the set always
+    equals the disjoint union of {x} x fiber(x) over the projected vertices
+    x, and flattening is exact in both directions.
     """
 
-    __slots__ = ("base_n", "fiber_n", "pairs")
+    __slots__ = ("base_n", "fiber_n", "mask")
 
     def __init__(self, base_n: int, fiber_n: int, pairs: Iterable[tuple[int, int]]):
         cleaned = sorted(set((int(g), int(h)) for g, h in pairs))
+        mask = 0
         for g, h in cleaned:
             if not (0 <= g < base_n and 0 <= h < fiber_n):
                 raise ValueError(f"pair ({g}, {h}) outside the product universe")
+            mask |= 1 << (g * fiber_n + h)
         object.__setattr__(self, "base_n", base_n)
         object.__setattr__(self, "fiber_n", fiber_n)
-        object.__setattr__(self, "pairs", tuple(cleaned))
+        object.__setattr__(self, "mask", mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProductSet is immutable")
 
     @classmethod
-    def _wrap_sorted(
-        cls, base_n: int, fiber_n: int, raw: list[tuple[tuple[int, int], ...]]
+    def _wrap_mirrored(
+        cls, base_n: int, fiber_n: int, keys: list[int]
     ) -> list["ProductSet"]:
-        """Wrap pair tuples that are already in canonical form, without checking them.
+        """Wrap flat masks that carry a mirror in their high bits, without checking them.
 
-        Precondition: every item of ``raw`` is a tuple of ``(g, h)`` int
-        tuples, strictly ascending (so sorted and duplicate-free), with
-        ``0 <= g < base_n`` and ``0 <= h < fiber_n``.  Each item is then
-        replaced, in place, by a set equal to ``ProductSet(base_n, fiber_n,
-        pairs)``, and ``raw`` is returned; the caller is responsible for the
-        precondition, which is what lets the product enumerator skip the sort
-        and the per-pair checks of the public constructor.  The allocator and
-        the three slots' setters are looked up once for the whole list, not
-        once per set.
+        Precondition: ``base_n`` and ``fiber_n`` are positive ints and every
+        item of ``keys`` is a non-negative int whose low ``base_n * fiber_n``
+        bits are the set's flat mask; any higher bits (the enumerator's
+        mirror) are dropped.  Returns the sets with those flat masks, in the
+        order of ``keys``; the caller is responsible for the precondition,
+        which is what lets the product enumerator skip the public
+        constructor's sort and per-pair checks.  The sets are allocated and
+        their three slots stored by C-level ``map`` loops, with no Python
+        bytecode run per set.
         """
-        new = object.__new__
-        set_base_n = cls.base_n.__set__
-        set_fiber_n = cls.fiber_n.__set__
-        set_pairs = cls.pairs.__set__
-        for i, pairs in enumerate(raw):
-            self = new(cls)
-            set_base_n(self, base_n)
-            set_fiber_n(self, fiber_n)
-            set_pairs(self, pairs)
-            raw[i] = self
-        return raw
+        full = (1 << (base_n * fiber_n)) - 1
+        count = len(keys)
+        sets = list(map(object.__new__, itertools.repeat(cls, count)))
+        # each setter returns None, so any() just drives the map to its end
+        any(map(cls.base_n.__set__, sets, itertools.repeat(base_n, count)))
+        any(map(cls.fiber_n.__set__, sets, itertools.repeat(fiber_n, count)))
+        any(map(cls.mask.__set__, sets, map(full.__and__, keys)))
+        return sets
 
     @classmethod
     def from_flat(cls, product: ProductGraph, flat: VertexSet) -> "ProductSet":
         if flat.universe_size != product.graph.n:
             raise ValueError("flattened set universe does not match the product")
-        return cls(
-            product.base.n, product.fiber.n, [product.decode(v) for v in flat]
-        )
+        return cls._wrap_mirrored(product.base.n, product.fiber.n, [flat.mask])[0]
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The members as ascending (g, h) pairs.
+
+        Joined four bits of the mask at a time from the fiber size's pair
+        tables, so every pair is a tuple shared with the other sets that
+        hold it, not one made per call; universes wider than the tables
+        decode member by member instead.
+        """
+        mask = self.mask
+        fiber_n = self.fiber_n
+        flat_n = self.base_n * fiber_n
+        if fiber_n > _PAIR_TABLE_FIBER_N or flat_n > _PAIR_TABLE_BITS:
+            return tuple(divmod(v, fiber_n) for v in iter_bits(mask))
+        out: tuple[tuple[int, int], ...] = ()
+        for table in _pair_tables(fiber_n, (flat_n + 3) // 4):
+            if not mask:
+                break
+            out += table[mask & 15]
+            mask >>= 4
+        return out
+
+    def _row(self, g: int) -> int:
+        """The mask of the fiber over base vertex g (0 when g is not projected)."""
+        return self.mask >> (g * self.fiber_n) & ((1 << self.fiber_n) - 1)
 
     def projection(self) -> VertexSet:
         """Base-graph vertices that carry at least one member."""
-        return VertexSet(self.base_n, {g for g, _ in self.pairs})
+        proj = 0
+        for g in range(self.base_n):
+            if self._row(g):
+                proj |= 1 << g
+        return VertexSet.from_mask(self.base_n, proj)
 
     def fibers(self) -> dict[int, VertexSet]:
         """Map from each projected vertex to its (non-empty) fiber."""
-        by_g: dict[int, set[int]] = {}
-        for g, h in self.pairs:
-            by_g.setdefault(g, set()).add(h)
-        return {g: VertexSet(self.fiber_n, hs) for g, hs in sorted(by_g.items())}
+        out = {}
+        for g in range(self.base_n):
+            row = self._row(g)
+            if row:
+                out[g] = VertexSet.from_mask(self.fiber_n, row)
+        return out
 
     def flatten(self) -> VertexSet:
-        return VertexSet(
-            self.base_n * self.fiber_n, [g * self.fiber_n + h for g, h in self.pairs]
-        )
+        return VertexSet.from_mask(self.base_n * self.fiber_n, self.mask)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.mask.bit_count()
 
     def __iter__(self):
         return iter(self.pairs)
@@ -175,11 +244,11 @@ class ProductSet:
             isinstance(other, ProductSet)
             and self.base_n == other.base_n
             and self.fiber_n == other.fiber_n
-            and self.pairs == other.pairs
+            and self.mask == other.mask
         )
 
     def __hash__(self) -> int:
-        return hash((self.base_n, self.fiber_n, self.pairs))
+        return hash((self.base_n, self.fiber_n, self.mask))
 
     def __repr__(self) -> str:
         return f"ProductSet({self.base_n}, {self.fiber_n}, {list(self.pairs)})"
@@ -208,15 +277,9 @@ def dominates_product_vertex(
     g, h = vertex
     if not (0 <= g < product.base.n and 0 <= h < product.fiber.n):
         raise ValueError(f"pair ({g}, {h}) outside the product universe")
-    proj_mask = 0
-    fiber_mask = 0
-    for pg, ph in d.pairs:
-        proj_mask |= 1 << pg
-        if pg == g:
-            fiber_mask |= 1 << ph
-    if product.base.adj_mask(g) & proj_mask:
+    if product.base.adj_mask(g) & d.projection().mask:
         return True
-    return bool(product.fiber.closed_mask(h) & fiber_mask)
+    return bool(product.fiber.closed_mask(h) & d._row(g))
 
 
 def is_dominating_product(product: ProductGraph, d: ProductSet) -> bool:
@@ -307,51 +370,55 @@ def _minimality(base: Graph, fiber_graph: Graph, d: ProductSet) -> ProductMinima
     return ProductMinimalityReport(cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii)
 
 
-def _pair_blocks(
-    base_n: int, fiber_n: int, x: int, options: Iterable[tuple[int, ...]]
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """One block per option: the pairs (x, h) for the option's ascending h.
+def _blocks(
+    both: list[int], fiber_n: int, x: int, options: Iterable[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """One block per option: the mirrored mask of the pairs (x, h) for its h.
 
-    Every pair is range-checked here, once, so that sets concatenated from
-    these blocks meet the precondition of :meth:`ProductSet._wrap_sorted`.
+    ``both[v]`` holds the flat vertex v and its mirror bit (see
+    :func:`enumerate_minimal_dominating_sets_product`).
     """
-    blocks = tuple(tuple((x, h) for h in option) for option in options)
-    for block in blocks:
-        for g, h in block:
-            if not (0 <= g < base_n and 0 <= h < fiber_n):
-                raise ValueError(f"pair ({g}, {h}) outside the product universe")
-    return blocks
+    row = x * fiber_n
+    blocks = []
+    for option in options:
+        block = 0
+        for h in option:
+            block |= both[row + h]
+        blocks.append(block)
+    return tuple(blocks)
 
 
-def _concatenations(choice_lists: list) -> list[tuple[tuple[int, int], ...]]:
-    """Every concatenation of one block from each list, in product order."""
-    prefixes: list[tuple[tuple[int, int], ...]] = [()]
+def _concatenations(choice_lists: list) -> list[int]:
+    """Every union of one block from each list, in product order."""
+    prefixes = [0]
     for blocks in choice_lists:
-        prefixes = [prefix + block for prefix in prefixes for block in blocks]
+        prefixes = [prefix | block for prefix in prefixes for block in blocks]
     return prefixes
 
 
 def _leaf_admissible(
-    base: Graph, p: VertexSet, choice_lists: list, universal: list[bool]
+    base: Graph, p: VertexSet, choice_lists: list, universal: int, complete: bool
 ) -> list[list]:
     """Restrictions of ``choice_lists`` (one per member of ``p``) to the leaf condition.
 
     Every redundant member of ``p`` needs a leaf neighbor whose fiber vertex
-    is not universal.  Without a redundant member every combination is
-    admissible, and with one but a complete fiber graph none is.  Otherwise
-    the leaves the condition names are totally dominated, so their blocks
-    are single pairs, and each is split once into its non-universal and its
-    universal blocks; both parts are non-empty, since the enumerator calls
-    this only for a fiber graph with a universal vertex, and this one also
-    has a vertex that is not.  Each named leaf is then
-    restricted to one part, and the condition is tested once per such
-    pattern; the patterns are disjoint, so every admissible combination lies
-    under exactly one returned restriction.
+    is not universal.  ``universal`` is the flat mask of the pairs (x, h)
+    with h a universal vertex of the fiber graph, over every base vertex x,
+    and ``complete`` tells whether every fiber vertex is universal.  Without
+    a redundant member every combination is admissible, and with one but a
+    complete fiber graph none is.  Otherwise the leaves the condition names
+    are totally dominated, so their blocks are single pairs, and each is
+    split once into its non-universal and its universal blocks; both parts
+    are non-empty, since the enumerator calls this only for a fiber graph
+    with a universal vertex, and this one also has a vertex that is not.
+    Each named leaf is then restricted to one part, and the condition is
+    tested once per such pattern; the patterns are disjoint, so every
+    admissible combination lies under exactly one returned restriction.
     """
     redundant = _redundant_mask(base, p.mask)
     if not redundant:
         return [choice_lists]
-    if all(universal):
+    if complete:
         return []
     leaves = _leaves_mask(base, p.mask)
     supports = [base.adj_mask(r) & leaves for r in iter_bits(redundant)]
@@ -366,8 +433,8 @@ def _leaf_admissible(
     for y in named:
         blocks = choice_lists[position[y]]
         parts.append((
-            [b for b in blocks if not universal[b[0][1]]],
-            [b for b in blocks if universal[b[0][1]]],
+            [b for b in blocks if not b & universal],
+            [b for b in blocks if b & universal],
         ))
     out = []
     for kinds in itertools.product((False, True), repeat=len(named)):
@@ -399,22 +466,24 @@ def enumerate_minimal_dominating_sets_product(
     condition holds automatically).  The output equals brute-force
     minimal-dominating enumeration on the flattened product.
 
-    Each member x contributes a block of pairs (x, h) per allowed option,
-    built and range-checked once per vertex and shared by every set that
-    uses it.  Leaves are totally dominated, so their options are single
+    Sets are built as ints over the flat index v = g * |V(H)| + h, each
+    member also mirrored at bit 2N - 1 - v, where N = |V(G)| * |V(H)|.
+    Each member x contributes one such block per allowed option, built once
+    per vertex and shared by every set that uses it, and a set is the OR of
+    its blocks.  Leaves are totally dominated, so their options are single
     fiber vertices; the leaf condition depends only on which of them are
     universal, and is tested once per such pattern of the leaves it names
     rather than once per set (see :func:`_leaf_admissible`, which reads the
-    redundant members off one bitmask pass).  Members ascend and each option
-    ascends, so a set's pairs are the concatenation of its blocks, already
-    canonical.
+    redundant members off one bitmask pass).
 
-    The canonical order is by size, then by pairs.  The raw pair tuples are
-    sorted in two passes, by pairs and then stably by ``len``, so no key
-    tuple is built per set; only then are they wrapped as
-    :class:`ProductSet` objects, in place and in one call to
-    :meth:`ProductSet._wrap_sorted`, so the per-set cost after the
-    concatenation is one allocation and three slot stores.
+    The canonical order is by size, then by ascending pairs, which is
+    ascending flat indices.  Two sets of one size differ first at the lowest
+    flat vertex of their symmetric difference, and the set that holds it
+    has the higher mirror bit there, so descending keys give ascending
+    pairs; a stable sort by ``int.bit_count``, twice the size, finishes the
+    order without a key tuple per set.  The keys are then stripped of their
+    mirror and wrapped in one call to :meth:`ProductSet._wrap_mirrored`, so
+    the per-set cost after the OR is one allocation and three slot stores.
 
     The cap guards the factor sizes, not the flattened size, so products far
     beyond the flattened enumeration range stay reachable.
@@ -425,29 +494,38 @@ def enumerate_minimal_dominating_sets_product(
     _check_cap(fiber.n, cap)
 
     base_n, fiber_n = base.n, fiber.n
+    flat_n = base_n * fiber_n
+    top = 2 * flat_n - 1
+    both = [1 << v | 1 << (top - v) for v in range(flat_n)]
     fiber_sets = [d.members for d in enumerate_minimal_dominating_sets(fiber, cap)]
-    universal = [fiber.closed_mask(h) == fiber.full_mask for h in range(fiber_n)]
-    any_universal = any(universal)
+    universal_row = 0
+    for h in range(fiber_n):
+        if fiber.closed_mask(h) == fiber.full_mask:
+            universal_row |= 1 << h
+    complete = universal_row == fiber.full_mask
+    universal = 0
+    for x in range(base_n):
+        universal |= universal_row << (x * fiber_n)
     # (x, totally dominated) -> x's blocks, shared by every set that uses them
-    blocks: dict[tuple[int, bool], tuple] = {}
-    raw: list[tuple[tuple[int, int], ...]] = []
+    blocks: dict[tuple[int, bool], tuple[int, ...]] = {}
+    raw: list[int] = []
     for p in enumerate_irreducible_dominating_sets(base, cap):
         choice_lists = []
         for x in p.members:
             key = (x, bool(base.adj_mask(x) & p.mask))
             if key not in blocks:
                 options = [(h,) for h in range(fiber_n)] if key[1] else fiber_sets
-                blocks[key] = _pair_blocks(base_n, fiber_n, x, options)
+                blocks[key] = _blocks(both, fiber_n, x, options)
             choice_lists.append(blocks[key])
-        if any_universal:
-            combos = _leaf_admissible(base, p, choice_lists, universal)
+        if universal:
+            combos = _leaf_admissible(base, p, choice_lists, universal, complete)
         else:
             combos = [choice_lists]
         for lists in combos:
             raw.extend(_concatenations(lists))
-    raw.sort()
-    raw.sort(key=len)
-    return ProductSet._wrap_sorted(base_n, fiber_n, raw)
+    raw.sort(reverse=True)
+    raw.sort(key=int.bit_count)
+    return ProductSet._wrap_mirrored(base_n, fiber_n, raw)
 
 
 def gamma_product(base: Graph, fiber: Graph) -> int:

@@ -33,8 +33,8 @@ from .graphs import (
 )
 from .domination import (
     _check_cap,
-    _find_cover,
     _greedy_independent,
+    _minimum_dominating_within,
     _require_nonempty,
     enumerate_minimal_dominating_sets,
     minimum_dominating_set,
@@ -213,10 +213,11 @@ def is_well_dominated_bounded_k(
     ``all_minimal_transversals_have_size`` decides in polynomial time for
     fixed ``k``; its oversized minimal transversal is the large witness.
 
-    ``_cover`` is internal to :func:`recognize`: the mask of the minimum
-    dominating set its own search found, taken as is instead of searched for
-    again.  Passing it here, rather than to a separate function, keeps every
-    dispatch to this recognizer a call of this function.
+    ``_cover`` is internal to :func:`recognize` and to the command line's
+    ``--method bounded-k``: the mask of the minimum dominating set their own
+    search found, taken as is instead of searched for again.  Passing it
+    here, rather than to a separate function, keeps every dispatch to this
+    recognizer a call of this function.
     """
     _require_nonempty(graph)
     if _cover is None:
@@ -240,8 +241,15 @@ def is_well_dominated_bounded_k(
     )
 
 
+# the largest domination number that ``recognize`` sends to the bounded-size
+# test by default
+DEFAULT_BOUNDED_K_THRESHOLD = 3
+
+
 def recognize(
-    graph: Graph, cap: int | None = None, bounded_k_threshold: int = 3
+    graph: Graph,
+    cap: int | None = None,
+    bounded_k_threshold: int = DEFAULT_BOUNDED_K_THRESHOLD,
 ) -> RecognitionReport:
     """Dispatch to the cheapest applicable recognizer.
 
@@ -252,14 +260,9 @@ def recognize(
     straight to enumeration, whose cap check comes before any exponential
     search.  All paths agree on the verdict.
     """
-    _require_nonempty(graph)
     # the domination number is searched only as far as a polynomial
     # recognizer reaches; above that the enumeration cap decides first
-    reach = max(2, bounded_k_threshold)
-    covers = (_find_cover(graph, k, True) for k in range(1, reach + 1))
-    # the first cover found is a minimum dominating set, the one that
-    # minimum_dominating_set would return
-    cover = next((c for c in covers if c is not None), None)
+    cover = _minimum_dominating_within(graph, max(2, bounded_k_threshold))
     gamma_val = None if cover is None else cover.bit_count()
     if gamma_val == 2:
         return is_well_dominated_gamma2(graph)

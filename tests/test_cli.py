@@ -13,9 +13,10 @@ import pytest
 import domkit
 import domkit.cli
 from domkit.cli import build_parser, main
-from domkit.domination import enumerate_minimal_dominating_sets, is_minimal_dominating
-from domkit.families import cycle_graph, path_graph, random_graph
+from domkit.domination import enumerate_minimal_dominating_sets, gamma, is_minimal_dominating
+from domkit.families import complete_graph, cycle_graph, disjoint_union, path_graph, random_graph
 from domkit.graphs import Graph, VertexSet, parse_graph, write_graph
+from domkit.recognition import is_well_dominated_bounded_k
 
 
 @pytest.fixture()
@@ -85,6 +86,28 @@ class TestStats:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: graph has 25 vertices, above the enumeration cap 24\n"
+
+
+    def test_gamma_and_upper_gamma_come_from_one_enumeration(self, p5_file, monkeypatch, capsys):
+        def exact_search(*args):
+            raise AssertionError("stats ran a second search")
+
+        for name in ("gamma", "upper_gamma"):
+            monkeypatch.setattr(domkit.cli, name, exact_search)
+        assert main(["stats", p5_file]) == 0
+        assert capsys.readouterr().out == "n=5 m=4 gamma=2 gamma_t=3 Gamma=3 alpha=3\n"
+        assert main(["stats", p5_file, "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"Gamma": 3, "alpha": 3, "gamma": 2, "gamma_t": 3, "m": 4, "n": 5}\n'
+        )
+
+    def test_zero_vertex_graph(self, tmp_path, capsys):
+        path = tmp_path / "empty.el"
+        path.write_text("0 0\n")
+        assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: operation undefined on the zero-vertex graph\n"
 
 
 class TestCheckSet:
@@ -214,6 +237,57 @@ class TestWellDominated:
         large = VertexSet(star.n, data["witness_large"])
         assert (len(small), len(large)) == (1, 1100)
         assert is_minimal_dominating(star, small) and is_minimal_dominating(star, large)
+
+
+class TestBoundedKWithoutK:
+    """``--method bounded-k`` without ``--k`` finds the domination number itself."""
+
+    @staticmethod
+    def _run(tmp_path, graph, *flags):
+        path = tmp_path / "g.el"
+        path.write_text(write_graph(graph))
+        return main(["well-dominated", str(path), "--method", "bounded-k", *flags])
+
+    @pytest.mark.parametrize("graph", [
+        path_graph(5), cycle_graph(4), path_graph(7), cycle_graph(9), cycle_graph(12),
+        Graph(1), random_graph(16, Random(5), 0.3), random_graph(20, Random(6), 0.2),
+    ])
+    def test_inside_the_cap_the_output_is_unchanged(self, graph, tmp_path, capsys):
+        want = is_well_dominated_bounded_k(graph, gamma(graph))
+        assert self._run(tmp_path, graph, "--json") == (0 if want.verdict else 1)
+        assert capsys.readouterr().out == json.dumps(want.to_dict(), sort_keys=True) + "\n"
+
+    def test_small_domination_number_answers_above_the_cap(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def exact_search(graph):
+            raise AssertionError("the exact domination number search ran")
+
+        monkeypatch.setattr(domkit.cli, "gamma", exact_search)
+        three_k10 = disjoint_union(disjoint_union(complete_graph(10), complete_graph(10)),
+                                   complete_graph(10))
+        assert self._run(tmp_path, three_k10) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "verdict: well-dominated\nmethod: bounded_k\ngamma: 3\ncommon size: 3\n"
+        )
+
+    def test_large_domination_number_exits_on_the_cap(self, tmp_path, monkeypatch, capsys):
+        def exact_search(graph):
+            raise AssertionError("the exact domination number search ran")
+
+        monkeypatch.setattr(domkit.cli, "gamma", exact_search)
+        start = time.perf_counter()
+        assert self._run(tmp_path, random_graph(50, Random(2), 0.1)) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph has 50 vertices, above the enumeration cap 24\n"
+
+    def test_zero_vertex_graph(self, tmp_path, capsys):
+        assert self._run(tmp_path, Graph(0)) == 2
+        assert capsys.readouterr().err == "error: operation undefined on the zero-vertex graph\n"
 
 
 class TestErrors:

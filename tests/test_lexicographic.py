@@ -139,6 +139,45 @@ class TestProductSet:
         with pytest.raises(ValueError):
             ProductSet(2, 2, [(2, 0)])
 
+    def test_mask_is_the_flattened_mask(self):
+        d = ProductSet(5, 3, [(3, 1), (1, 1), (2, 0), (1, 1)])
+        assert d.mask == d.flatten().mask == 1 << 4 | 1 << 6 | 1 << 10
+        assert d.pairs == ((1, 1), (2, 0), (3, 1))
+        assert len(d) == 3 and list(d) == list(d.pairs)
+        assert repr(d) == "ProductSet(5, 3, [(1, 1), (2, 0), (3, 1)])"
+        with pytest.raises(AttributeError):
+            d.mask = 0
+
+    def test_flat_universe_past_64_vertices(self):
+        # P14 x C5 has 70 flat vertices; sets on it cross every byte and
+        # word boundary of the flat mask
+        prod = lex_product(path_graph(14), cycle_graph(5))
+        rng = Random(70)
+        for mask in [0, 1, 1 << 69, (1 << 70) - 1] + [rng.getrandbits(70) for _ in range(50)]:
+            flat = VertexSet.from_mask(70, mask)
+            d = ProductSet.from_flat(prod, flat)
+            pairs = [divmod(v, 5) for v in flat]
+            assert d == ProductSet(14, 5, pairs) and hash(d) == hash(ProductSet(14, 5, pairs))
+            assert d.mask == mask and d.flatten() == flat
+            assert list(d.pairs) == pairs and list(d) == pairs and len(d) == len(pairs)
+            assert d.projection() == VertexSet(14, {g for g, _ in pairs})
+            assert {g: f.members for g, f in d.fibers().items()} == {
+                g: tuple(h for x, h in pairs if x == g) for g in sorted({g for g, _ in pairs})
+            }
+
+    @pytest.mark.parametrize("base_n, fiber_n", [(25, 25), (2, 30)])
+    def test_shapes_past_the_pair_tables_decode_member_by_member(self, base_n, fiber_n):
+        pairs = [(0, 0), (1, fiber_n - 1), (base_n - 1, 3)]
+        d = ProductSet(base_n, fiber_n, pairs)
+        assert d.pairs == tuple(sorted(pairs)) and list(d) == sorted(pairs)
+        assert d.mask == sum(1 << (g * fiber_n + h) for g, h in pairs)
+
+    def test_sets_of_one_shape_share_their_pair_tuples(self):
+        a = ProductSet(6, 4, [(0, 1), (3, 2), (5, 3)])
+        b = ProductSet(6, 4, [(3, 2), (4, 0), (5, 3)])
+        assert a.pairs[1] == b.pairs[0] == (3, 2)
+        assert a.pairs[1] is b.pairs[0] and a.pairs[2] is b.pairs[2]
+
 
 class TestVertexDomination:
     def test_worked_cases(self, p5p3):
@@ -291,18 +330,29 @@ class TestEnumerator:
         assert len(over_p) == 3 * (3 * 3 - 1)
 
     def test_enumerated_sets_are_canonical(self):
+        # the last two have flat universes past 64 vertices (mirrored keys
+        # past 128 bits), with and without a universal fiber vertex
         for base, fiber in [
             (path_graph(5), path_graph(3)),
             (spider_graph(2, 2, 1), complete_graph(3)),
             (cycle_graph(5), cycle_graph(4)),
             (star_graph(3), star_graph(3)),
             (edgeless_graph(2), path_graph(4)),
+            (path_graph(5), star_graph(13)),
+            (cycle_graph(4), edgeless_graph(17)),
         ]:
             sets = enumerate_minimal_dominating_sets_product(base, fiber)
             assert sets
             for d in sets:
                 rebuilt = ProductSet(base.n, fiber.n, d.pairs)
                 assert rebuilt == d and hash(rebuilt) == hash(d)
+                assert rebuilt.pairs == d.pairs and rebuilt.mask == d.mask
+                assert len(rebuilt) == len(d) == len(d.pairs)
+                assert list(rebuilt) == list(d) == list(d.pairs)
+                assert rebuilt.projection() == d.projection()
+                assert rebuilt.fibers() == d.fibers()
+                assert rebuilt.flatten() == d.flatten()
+                assert repr(rebuilt) == repr(d)
                 assert isinstance(d.pairs, tuple)
                 assert all(a < b for a, b in zip(d.pairs, d.pairs[1:]))
                 assert all(0 <= g < base.n and 0 <= h < fiber.n for g, h in d.pairs)
@@ -310,6 +360,15 @@ class TestEnumerator:
                     d.pairs = ()
                 with pytest.raises(AttributeError):
                     d.base_n = 0
+
+    def test_enumerated_sets_share_their_pair_tuples(self):
+        # every occurrence of a pair, in every set of the shape, is one object
+        first: dict = {}
+        for fiber in (cycle_graph(4), path_graph(4)):
+            for d in enumerate_minimal_dominating_sets_product(path_graph(6), fiber):
+                for pair in d.pairs:
+                    assert first.setdefault(pair, pair) is pair
+        assert len(first) == 24
 
     def test_factor_cap(self):
         with pytest.raises(EnumerationCapExceeded):
