@@ -19,7 +19,7 @@ from pathlib import Path
 from .domination import (
     EnumerationCapExceeded,
     _check_cap,
-    _minimum_dominating_within,
+    _minimum_cover,
     alpha,
     classify,
     enumerate_minimal_dominating_sets,
@@ -238,7 +238,7 @@ def _bounded_k(graph: Graph, k: int | None, cap: int | None) -> RecognitionRepor
     """
     if k is not None:
         return is_well_dominated_bounded_k(graph, k)
-    cover = _minimum_dominating_within(graph, DEFAULT_BOUNDED_K_THRESHOLD)
+    cover = _minimum_cover(graph, True, DEFAULT_BOUNDED_K_THRESHOLD)
     if cover is not None:
         return is_well_dominated_bounded_k(graph, cover.bit_count(), _cover=cover)
     _check_cap(graph.n, cap)

@@ -1,8 +1,8 @@
 """Domination predicates, parameters, and enumerators for a single graph.
 
 Everything is exact.  Parameters are found by increasing-size bounded search
-(a greedy solution caps the search depth, and the search branches only inside
-the neighborhood of an uncovered vertex, so no approximation is ever
+(the search branches only inside the neighborhood of an uncovered vertex, and
+the first size that covers is the answer, so no approximation is ever
 returned).  Set enumerators route through the minimal-transversal backend or
 a pruned subset search; both are guarded by a configurable vertex cap so an
 accidental call on a large graph fails fast instead of running for hours.
@@ -204,22 +204,6 @@ def is_minimal_total_dominating(graph: Graph, d: VertexSet) -> bool:
     return True
 
 
-def _greedy_cover(graph: Graph, closed: bool) -> int:
-    """Greedy covering set mask; upper bound for the exact searches."""
-    cover = graph.closed_mask if closed else graph.adj_mask
-    uncovered = graph.full_mask
-    chosen = 0
-    while uncovered:
-        best_v, best_gain = -1, -1
-        for v in range(graph.n):
-            gain = (cover(v) & uncovered).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        chosen |= 1 << best_v
-        uncovered &= ~cover(best_v)
-    return chosen
-
-
 def _find_cover(graph: Graph, k: int, closed: bool) -> int | None:
     """Search for a set of size <= k (k >= 1) whose neighborhoods cover all vertices.
 
@@ -247,34 +231,23 @@ def _find_cover(graph: Graph, k: int, closed: bool) -> int | None:
     return None
 
 
-def _minimum_dominating_within(graph: Graph, reach: int) -> int | None:
-    """The mask of a minimum dominating set if the domination number is at most ``reach``.
+def _minimum_cover(graph: Graph, closed: bool, reach: int) -> int | None:
+    """The mask of a smallest covering set if one has at most ``reach`` vertices.
 
-    Searches sizes 1, 2, ..., ``reach`` in turn, O(n^k) steps for size k,
-    and returns None when none of them dominates, without searching
-    further.  The first cover found is the one that
-    :func:`minimum_dominating_set` returns.
+    A covering set is one whose closed (or open) neighborhoods cover all
+    vertices.  Searches sizes 1, 2, ..., ``reach`` in turn, O(n^k) steps
+    for size k, and returns None when none of them covers, without
+    searching further.
     """
     _require_nonempty(graph)
-    covers = (_find_cover(graph, k, True) for k in range(1, reach + 1))
+    covers = (_find_cover(graph, k, closed) for k in range(1, reach + 1))
     return next((c for c in covers if c is not None), None)
-
-
-def _minimum_cover(graph: Graph, closed: bool) -> VertexSet:
-    """A smallest set whose (closed or open) neighborhoods cover all vertices,
-    by increasing-size bounded search up to the greedy bound."""
-    ub = _greedy_cover(graph, closed).bit_count()
-    for k in range(1, ub + 1):
-        found = _find_cover(graph, k, closed)
-        if found is not None:
-            return VertexSet.from_mask(graph.n, found)
-    raise AssertionError("greedy bound must be attainable")
 
 
 def minimum_dominating_set(graph: Graph) -> VertexSet:
     """A minimum dominating set, found by increasing-size bounded search."""
     _require_nonempty(graph)
-    return _minimum_cover(graph, closed=True)
+    return VertexSet.from_mask(graph.n, _minimum_cover(graph, True, graph.n))
 
 
 def gamma(graph: Graph) -> int:
@@ -287,7 +260,7 @@ def minimum_total_dominating_set(graph: Graph) -> VertexSet:
     _require_nonempty(graph)
     if any(graph.adj_mask(v) == 0 for v in range(graph.n)):
         raise ValueError("total domination undefined: the graph has an isolated vertex")
-    return _minimum_cover(graph, closed=False)
+    return VertexSet.from_mask(graph.n, _minimum_cover(graph, False, graph.n))
 
 
 def gamma_t(graph: Graph) -> int:

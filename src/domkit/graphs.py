@@ -6,13 +6,16 @@ emit canonically sorted output.  Graphs are immutable after construction; all
 operations here are pure functions and safe to share across threads.
 
 This is also the bitmask kernel the other modules share: the vertex-set
-universe check, open and closed neighborhood unions of a mask, the ascending
-removal pass that shrinks a set while a property holds, and the skeleton of
-the edge-list document formats are each defined here once.
+universe check, the ascending members of a mask, the bulk allocation of
+slotted sets, the mirrored sort key that gives the canonical order, open and
+closed neighborhood unions of a mask, the universal vertices of a graph, the
+ascending removal pass that shrinks a set while a property holds, and the
+skeleton of the edge-list document formats are each defined here once.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Iterator
 
 
@@ -51,6 +54,58 @@ _BYTE_MEMBERS = _byte_member_tables(8)
 _TABLE_BITS = 8 * len(_BYTE_MEMBERS)
 
 
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask`` in ascending order, joined byte by byte from tables."""
+    if mask >> _TABLE_BITS:
+        return tuple(iter_bits(mask))
+    out: tuple[int, ...] = ()
+    for table in _BYTE_MEMBERS:
+        if not mask:
+            break
+        out += table[mask & 255]
+        mask >>= 8
+    return out
+
+
+def _bulk_new(cls: type, count: int, *slots: tuple) -> list:
+    """``count`` new instances of the slotted ``cls``, filled without checks.
+
+    Each of ``slots`` is a pair (slot descriptor, values), and instance i
+    gets the i-th value.  C-level ``map`` loops allocate the instances and
+    store every slot, with no Python bytecode run per instance.
+    """
+    objs = list(map(object.__new__, itertools.repeat(cls, count)))
+    for slot, values in slots:
+        # each setter returns None, so any() just drives the map to its end
+        any(map(slot.__set__, objs, values))
+    return objs
+
+
+def _mirrored(n: int) -> list[int]:
+    """Entry v: the key bit of vertex v in a universe of ``n``, with its mirror.
+
+    A mirrored key holds a set twice, vertex v at bit v and again at bit
+    2n - 1 - v, so the OR of the entries of the members is the set's key and
+    ``key & ((1 << n) - 1)`` recovers the set.  See :func:`_sort_mirrored`.
+    """
+    top = 2 * n - 1
+    return [1 << v | 1 << (top - v) for v in range(n)]
+
+
+def _sort_mirrored(keys: list[int]) -> None:
+    """Sort mirrored keys (see :func:`_mirrored`) in place into canonical set order.
+
+    Canonical order is by size, then by ascending members.  Of two sets of
+    one size, the canonical first holds the lowest vertex of their symmetric
+    difference, so its mirror is the larger; the mirror fills the high bits,
+    so it decides the comparison of the whole ints.  A descending sort and
+    then a stable sort by ``int.bit_count``, twice the size, therefore give
+    the canonical order with no key tuple per set.
+    """
+    keys.sort(reverse=True)
+    keys.sort(key=int.bit_count)
+
+
 class VertexSet:
     """Immutable subset of {0, ..., universe_size - 1}.
 
@@ -81,44 +136,27 @@ class VertexSet:
         return self
 
     @classmethod
-    def _wrap(cls, universe_size: int, masks: list[int]) -> list["VertexSet"]:
-        """Wrap masks that already lie in the universe, without checking them.
+    def _wrap(cls, universe_size: int, keys: list[int]) -> list["VertexSet"]:
+        """Wrap the low ``universe_size`` bits of each key, without checking them.
 
-        Precondition: every item of ``masks`` is an int with
-        ``0 <= m < 1 << universe_size``, and ``universe_size >= 0``.  Each item
-        is then replaced, in place, by a set equal to
-        ``VertexSet.from_mask(universe_size, m)``, and ``masks`` is returned;
-        the caller is responsible for the precondition, which is what lets an
-        enumerator skip the range check of ``from_mask``.  The allocator and
-        the two slots' setters are looked up once for the whole list, not
-        once per set.
+        Precondition: ``universe_size >= 0`` and every item of ``keys`` is a
+        non-negative int; bits at ``universe_size`` and above (an
+        enumerator's mirror) are dropped.  Returns the sets equal to
+        ``VertexSet.from_mask(universe_size, key & full)``, in the order of
+        ``keys``, built by :func:`_bulk_new`.
         """
-        new = object.__new__
-        set_universe_size = cls.universe_size.__set__
-        set_mask = cls.mask.__set__
-        for i, m in enumerate(masks):
-            self = new(cls)
-            set_universe_size(self, universe_size)
-            set_mask(self, m)
-            masks[i] = self
-        return masks
+        full = (1 << universe_size) - 1
+        count = len(keys)
+        return _bulk_new(cls, count, (cls.universe_size, itertools.repeat(universe_size, count)),
+                         (cls.mask, map(full.__and__, keys)))
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexSet is immutable")
 
     @property
     def members(self) -> tuple[int, ...]:
-        """The members in ascending order, joined byte by byte from tables."""
-        mask = self.mask
-        if mask >> _TABLE_BITS:
-            return tuple(iter_bits(mask))
-        out: tuple[int, ...] = ()
-        for table in _BYTE_MEMBERS:
-            if not mask:
-                break
-            out += table[mask & 255]
-            mask >>= 8
-        return out
+        """The members in ascending order (see :func:`_members`)."""
+        return _members(self.mask)
 
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self.mask)
@@ -392,6 +430,16 @@ def connected_components(graph: Graph) -> list[VertexSet]:
         out.append(VertexSet.from_mask(graph.n, comp))
         unvisited &= ~comp
     return out
+
+
+def _universal_mask(graph: Graph) -> int:
+    """The mask of the vertices adjacent to every other vertex."""
+    full = graph.full_mask
+    mask = 0
+    for v in range(graph.n):
+        if graph.closed_mask(v) == full:
+            mask |= 1 << v
+    return mask
 
 
 def isolated_vertices(graph: Graph) -> VertexSet:

@@ -31,7 +31,9 @@ from .graphs import (
     _check_universe,
     _int_tokens,
     _minimalize,
+    _mirrored,
     _parse_records,
+    _sort_mirrored,
     iter_bits,
 )
 
@@ -134,17 +136,13 @@ def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
     reached once.  A child is skipped when a member would lose its last
     critical edge (one that it alone hits), which no superset regains.
 
-    A frame holds its set twice: vertex v at bit v and again, mirrored, at
-    bit 2n - 1 - v.  Of two sets of one size, the canonical (lexicographic)
-    first holds the lowest vertex of their symmetric difference, so its
-    mirror is the larger; the mirror fills the high bits, so it decides the
-    comparison of the whole ints.  A descending sort and then a stable sort
-    by bit count therefore give the canonical order with no key tuple per
-    set, and ``c & full`` recovers each set.
+    A frame holds its set as a mirrored key (see :func:`graphs._mirrored`),
+    so the found sets are put in canonical order by
+    :func:`graphs._sort_mirrored` and wrapped without a key tuple per set.
     """
     n = h.n
     full = (1 << n) - 1
-    both = [1 << v | 1 << (2 * n - 1 - v) for v in range(n)]
+    both = _mirrored(n)
     edges = sorted(set(h.edge_masks))
     incidence = _edge_incidence(n, edges)
     found = []
@@ -177,9 +175,8 @@ def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
                 kept.append(uncov & hit)
                 stack.append((chosen | both[v], kept, uncov & ~hit, cand))
             cand |= low
-    found.sort(reverse=True)
-    found.sort(key=int.bit_count)
-    return VertexSet._wrap(n, [c & full for c in found])
+    _sort_mirrored(found)
+    return VertexSet._wrap(n, found)
 
 
 def minimal_transversals_up_to_size(h: Hypergraph, k: int) -> list[VertexSet]:

@@ -18,6 +18,11 @@ from typing import Iterable
 from .graphs import (
     Graph,
     VertexSet,
+    _bulk_new,
+    _members,
+    _mirrored,
+    _sort_mirrored,
+    _universal_mask,
     is_edgeless,
     isolated_vertices,
     induced_subgraph,
@@ -29,7 +34,6 @@ from .domination import (
     _leaves_mask,
     _redundant_mask,
     _require_nonempty,
-    classify,
     enumerate_irreducible_dominating_sets,
     enumerate_minimal_dominating_sets,
     gamma,
@@ -91,43 +95,15 @@ def lex_product(base: Graph, fiber: Graph) -> ProductGraph:
     return ProductGraph(base, fiber)
 
 
-# Pair tables are kept for fiber graphs and flattened universes within the
-# default enumeration cap (and its square); wider sets decode their pairs
-# one member at a time.
-_PAIR_TABLE_FIBER_N = DEFAULT_ENUMERATION_CAP
-_PAIR_TABLE_BITS = DEFAULT_ENUMERATION_CAP**2
-# fiber_n -> its pair tables, one per 4-bit digit of the flat mask
-_PAIR_TABLES: dict[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]] = {}
-
-
-def _pair_tables(
-    fiber_n: int, ndigits: int
-) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """At least ``ndigits`` pair tables for a fiber graph of ``fiber_n`` vertices.
-
-    Table k, entry b (0 <= b < 16): the pairs of the flat vertices 4k + i
-    for the set bits i of b.  The pair of flat vertex v is
-    ``divmod(v, fiber_n)`` whatever the base, so the tables depend on the
-    fiber's size alone and every product shape with that fiber reads the
-    same ones.  Each pair is one tuple, made once when its table is built
-    and shared by every entry, and so by every set that holds it.  Tables
-    are added whole, and a longer tuple of them replaces the shorter one in
-    one store, so readers need no lock; two threads that grow the same
-    fiber's tables at once each build a correct copy, and one is kept.
-    Four-bit digits keep a table at 16 entries and about 1 KB; a byte table
-    would decode about a third faster but hold some 20 KB.
-    """
-    tables = _PAIR_TABLES.get(fiber_n, ())
-    if len(tables) < ndigits:
-        grown = list(tables)
-        for k in range(len(tables), ndigits):
-            row: list[tuple[tuple[int, int], ...]] = [()]
-            for v in range(4 * k, 4 * k + 4):
-                pair = divmod(v, fiber_n)
-                row += [t + (pair,) for t in row]
-            grown.append(tuple(row))
-        tables = _PAIR_TABLES[fiber_n] = tuple(grown)
-    return tables
+# Pair rows are kept for flattened universes within the square of the
+# default enumeration cap; wider sets decode their pairs one member at a time.
+_PAIR_ROW_BITS = DEFAULT_ENUMERATION_CAP**2
+# fiber_n -> entry v is the pair divmod(v, fiber_n) of flat vertex v; the
+# pair of v does not depend on the base, so every shape with that fiber size
+# reads one row, and every set that holds a pair shares its tuple.  A longer
+# row replaces the shorter one in one store, so readers need no lock; two
+# threads that grow the same row at once each build a correct copy.
+_PAIR_ROWS: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
 class ProductSet:
@@ -168,18 +144,14 @@ class ProductSet:
         mirror) are dropped.  Returns the sets with those flat masks, in the
         order of ``keys``; the caller is responsible for the precondition,
         which is what lets the product enumerator skip the public
-        constructor's sort and per-pair checks.  The sets are allocated and
-        their three slots stored by C-level ``map`` loops, with no Python
-        bytecode run per set.
+        constructor's sort and per-pair checks.  The sets are built by
+        :func:`graphs._bulk_new`.
         """
         full = (1 << (base_n * fiber_n)) - 1
         count = len(keys)
-        sets = list(map(object.__new__, itertools.repeat(cls, count)))
-        # each setter returns None, so any() just drives the map to its end
-        any(map(cls.base_n.__set__, sets, itertools.repeat(base_n, count)))
-        any(map(cls.fiber_n.__set__, sets, itertools.repeat(fiber_n, count)))
-        any(map(cls.mask.__set__, sets, map(full.__and__, keys)))
-        return sets
+        return _bulk_new(cls, count, (cls.base_n, itertools.repeat(base_n, count)),
+                         (cls.fiber_n, itertools.repeat(fiber_n, count)),
+                         (cls.mask, map(full.__and__, keys)))
 
     @classmethod
     def from_flat(cls, product: ProductGraph, flat: VertexSet) -> "ProductSet":
@@ -191,23 +163,20 @@ class ProductSet:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The members as ascending (g, h) pairs.
 
-        Joined four bits of the mask at a time from the fiber size's pair
-        tables, so every pair is a tuple shared with the other sets that
-        hold it, not one made per call; universes wider than the tables
-        decode member by member instead.
+        Each flat member indexes the fiber size's pair row, so every pair is
+        a tuple shared with the other sets that hold it, not one made per
+        call; universes wider than the rows decode member by member instead.
+        The list in between sizes the tuple exactly, where a tuple built
+        straight from the iterator over-allocates as it grows.
         """
-        mask = self.mask
         fiber_n = self.fiber_n
         flat_n = self.base_n * fiber_n
-        if fiber_n > _PAIR_TABLE_FIBER_N or flat_n > _PAIR_TABLE_BITS:
-            return tuple(divmod(v, fiber_n) for v in iter_bits(mask))
-        out: tuple[tuple[int, int], ...] = ()
-        for table in _pair_tables(fiber_n, (flat_n + 3) // 4):
-            if not mask:
-                break
-            out += table[mask & 15]
-            mask >>= 4
-        return out
+        if flat_n > _PAIR_ROW_BITS:
+            return tuple(divmod(v, fiber_n) for v in iter_bits(self.mask))
+        row = _PAIR_ROWS.get(fiber_n, ())
+        if len(row) < flat_n:
+            row = _PAIR_ROWS[fiber_n] = tuple(divmod(v, fiber_n) for v in range(flat_n))
+        return tuple([*map(row.__getitem__, _members(self.mask))])
 
     def _row(self, g: int) -> int:
         """The mask of the fiber over base vertex g (0 when g is not projected)."""
@@ -354,18 +323,17 @@ def _minimality(base: Graph, fiber_graph: Graph, d: ProductSet) -> ProductMinima
             cond_ii = False
             break
 
-    info = classify(base, proj) if proj.mask else None
+    leaves = _leaves_mask(base, proj.mask)
     cond_iii = True
-    if info is not None:
-        for r in iter_bits(info.redundant.mask):
-            supported = False
-            for y in iter_bits(base.adj_mask(r) & info.leaves.mask):
-                if not is_dominating(fiber_graph, fibers[y]):
-                    supported = True
-                    break
-            if not supported:
-                cond_iii = False
+    for r in iter_bits(_redundant_mask(base, proj.mask)):
+        supported = False
+        for y in iter_bits(base.adj_mask(r) & leaves):
+            if not is_dominating(fiber_graph, fibers[y]):
+                supported = True
                 break
+        if not supported:
+            cond_iii = False
+            break
 
     return ProductMinimalityReport(cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii)
 
@@ -375,8 +343,7 @@ def _blocks(
 ) -> tuple[int, ...]:
     """One block per option: the mirrored mask of the pairs (x, h) for its h.
 
-    ``both[v]`` holds the flat vertex v and its mirror bit (see
-    :func:`enumerate_minimal_dominating_sets_product`).
+    ``both`` is :func:`graphs._mirrored` of the flat universe.
     """
     row = x * fiber_n
     blocks = []
@@ -466,24 +433,21 @@ def enumerate_minimal_dominating_sets_product(
     condition holds automatically).  The output equals brute-force
     minimal-dominating enumeration on the flattened product.
 
-    Sets are built as ints over the flat index v = g * |V(H)| + h, each
-    member also mirrored at bit 2N - 1 - v, where N = |V(G)| * |V(H)|.
-    Each member x contributes one such block per allowed option, built once
-    per vertex and shared by every set that uses it, and a set is the OR of
-    its blocks.  Leaves are totally dominated, so their options are single
-    fiber vertices; the leaf condition depends only on which of them are
-    universal, and is tested once per such pattern of the leaves it names
-    rather than once per set (see :func:`_leaf_admissible`, which reads the
-    redundant members off one bitmask pass).
+    Sets are built as mirrored keys (see :func:`graphs._mirrored`) over the
+    flat index v = g * |V(H)| + h.  Each member x contributes one such block
+    per allowed option, built once per vertex and shared by every set that
+    uses it, and a set is the OR of its blocks.  Leaves are totally
+    dominated, so their options are single fiber vertices; the leaf
+    condition depends only on which of them are universal, and is tested
+    once per such pattern of the leaves it names rather than once per set
+    (see :func:`_leaf_admissible`, which reads the redundant members off one
+    bitmask pass).
 
     The canonical order is by size, then by ascending pairs, which is
-    ascending flat indices.  Two sets of one size differ first at the lowest
-    flat vertex of their symmetric difference, and the set that holds it
-    has the higher mirror bit there, so descending keys give ascending
-    pairs; a stable sort by ``int.bit_count``, twice the size, finishes the
-    order without a key tuple per set.  The keys are then stripped of their
-    mirror and wrapped in one call to :meth:`ProductSet._wrap_mirrored`, so
-    the per-set cost after the OR is one allocation and three slot stores.
+    ascending flat indices, so :func:`graphs._sort_mirrored` gives it.  The
+    keys are then stripped of their mirror and wrapped in one call to
+    :meth:`ProductSet._wrap_mirrored`, so the per-set cost after the OR is
+    one allocation and three slot stores.
 
     The cap guards the factor sizes, not the flattened size, so products far
     beyond the flattened enumeration range stay reachable.
@@ -494,14 +458,9 @@ def enumerate_minimal_dominating_sets_product(
     _check_cap(fiber.n, cap)
 
     base_n, fiber_n = base.n, fiber.n
-    flat_n = base_n * fiber_n
-    top = 2 * flat_n - 1
-    both = [1 << v | 1 << (top - v) for v in range(flat_n)]
+    both = _mirrored(base_n * fiber_n)
     fiber_sets = [d.members for d in enumerate_minimal_dominating_sets(fiber, cap)]
-    universal_row = 0
-    for h in range(fiber_n):
-        if fiber.closed_mask(h) == fiber.full_mask:
-            universal_row |= 1 << h
+    universal_row = _universal_mask(fiber)
     complete = universal_row == fiber.full_mask
     universal = 0
     for x in range(base_n):
@@ -523,8 +482,7 @@ def enumerate_minimal_dominating_sets_product(
             combos = [choice_lists]
         for lists in combos:
             raw.extend(_concatenations(lists))
-    raw.sort(reverse=True)
-    raw.sort(key=int.bit_count)
+    _sort_mirrored(raw)
     return ProductSet._wrap_mirrored(base_n, fiber_n, raw)
 
 

@@ -25,6 +25,7 @@ from .graphs import (
     complement,
     connected_components,
     enumerate_triangles,
+    _universal_mask,
     induced_subgraph,
     induces_c6_complement,
     is_complete,
@@ -34,7 +35,7 @@ from .graphs import (
 from .domination import (
     _check_cap,
     _greedy_independent,
-    _minimum_dominating_within,
+    _minimum_cover,
     _require_nonempty,
     enumerate_minimal_dominating_sets,
     minimum_dominating_set,
@@ -207,7 +208,8 @@ def is_well_dominated_bounded_k(
 ) -> RecognitionReport:
     """Decide via transversal sizes of the closed-neighborhood hypergraph.
 
-    Requires the domination number to equal ``k`` (checked).  The graph is
+    Requires the domination number to equal ``k`` (checked by a search of
+    sizes up to ``k`` only, so a larger one fails fast).  The graph is
     well-dominated exactly when every minimal transversal of the reduced
     closed-neighborhood hypergraph has size ``k``, which
     ``all_minimal_transversals_have_size`` decides in polynomial time for
@@ -221,11 +223,12 @@ def is_well_dominated_bounded_k(
     """
     _require_nonempty(graph)
     if _cover is None:
-        small = minimum_dominating_set(graph)
-        if len(small) != k:
-            raise ValueError(f"domination number is {len(small)}, not {k}")
-    else:
-        small = VertexSet.from_mask(graph.n, _cover)
+        _cover = _minimum_cover(graph, True, k)
+        if _cover is None:
+            raise ValueError(f"domination number is above {k}")
+        if _cover.bit_count() != k:
+            raise ValueError(f"domination number is {_cover.bit_count()}, not {k}")
+    small = VertexSet.from_mask(graph.n, _cover)
     ok, deviant = all_minimal_transversals_have_size(neighborhood_hypergraph(graph), k)
     if ok:
         return RecognitionReport(
@@ -262,7 +265,7 @@ def recognize(
     """
     # the domination number is searched only as far as a polynomial
     # recognizer reaches; above that the enumeration cap decides first
-    cover = _minimum_dominating_within(graph, max(2, bounded_k_threshold))
+    cover = _minimum_cover(graph, True, max(2, bounded_k_threshold))
     gamma_val = None if cover is None else cover.bit_count()
     if gamma_val == 2:
         return is_well_dominated_gamma2(graph)
@@ -272,10 +275,10 @@ def recognize(
 
 
 def _lowest_universal(graph: Graph) -> int:
-    for h in range(graph.n):
-        if graph.closed_mask(h) == graph.full_mask:
-            return h
-    raise AssertionError("no universal vertex")
+    universal = _universal_mask(graph)
+    if not universal:
+        raise AssertionError("no universal vertex")
+    return (universal & -universal).bit_length() - 1
 
 
 def _distance_two_triple(graph: Graph) -> tuple[int, int, int]:

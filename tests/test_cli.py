@@ -285,6 +285,21 @@ class TestBoundedKWithoutK:
         assert captured.out == ""
         assert captured.err == "error: graph has 50 vertices, above the enumeration cap 24\n"
 
+    def test_k_below_the_domination_number_exits_at_once(self, tmp_path, capsys):
+        # domination number 12: the check searches sizes up to --k only
+        start = time.perf_counter()
+        assert self._run(tmp_path, random_graph(50, Random(2), 0.1), "--k", "3") == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: domination number is above 3\n"
+
+    def test_k_above_the_domination_number_is_rejected(self, tmp_path, capsys):
+        assert self._run(tmp_path, path_graph(5), "--k", "3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: domination number is 2, not 3\n"
+
     def test_zero_vertex_graph(self, tmp_path, capsys):
         assert self._run(tmp_path, Graph(0)) == 2
         assert capsys.readouterr().err == "error: operation undefined on the zero-vertex graph\n"

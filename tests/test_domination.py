@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from domkit import bruteforce
 from domkit.domination import (
     EnumerationCapExceeded,
+    _minimum_cover,
     alpha,
     classify,
     enumerate_irreducible_dominating_sets,
@@ -221,6 +222,20 @@ class TestParameters:
             assert upper_gamma(g) == bruteforce.upper_gamma(g)
             if all(g.adj_mask(v) for v in range(g.n)):
                 assert gamma_t(g) == bruteforce.gamma_t(g)
+
+    def test_minimum_cover_searches_up_to_its_reach(self):
+        rng = Random(5)
+        for _ in range(40):
+            g = random_isolate_free_graph(rng.randint(2, 8), rng)
+            for closed, value in ((True, gamma(g)), (False, gamma_t(g))):
+                assert _minimum_cover(g, closed, value - 1) is None
+                found = _minimum_cover(g, closed, value)
+                assert found is not None and found.bit_count() == value
+                assert _minimum_cover(g, closed, g.n) == found
+                check = is_dominating if closed else is_total_dominating
+                assert check(g, VertexSet.from_mask(g.n, found))
+        with pytest.raises(ValueError, match="zero-vertex"):
+            _minimum_cover(Graph(0), True, 3)
 
     def test_searches_deeper_than_the_recursion_limit(self):
         assert gamma(Graph(1100)) == 1100

@@ -1,6 +1,7 @@
 """Graph kernel: parsing, neighborhoods, complement, components, triangles."""
 
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,9 @@ from domkit.graphs import (
     Graph,
     GraphParseError,
     VertexSet,
+    _mirrored,
+    _sort_mirrored,
+    _universal_mask,
     closed_neighborhood,
     complement,
     connected_components,
@@ -22,9 +26,11 @@ from domkit.graphs import (
     neighborhood_of_set,
     open_neighborhood,
     parse_graph,
+    set_sort_key,
     write_graph,
 )
-from domkit.families import complete_graph, cycle_graph, edgeless_graph
+from domkit.families import complete_graph, cycle_graph, edgeless_graph, path_graph
+from domkit.lexicographic import ProductSet
 
 from conftest import graph_with_subset, graphs
 
@@ -61,9 +67,32 @@ class TestVertexSet:
 
     def test_bulk_wrap_matches_from_mask(self):
         for n, masks in ((0, [0]), (5, [0, 1, 31, 18]), (70, [1 << 69, (1 << 70) - 1, 0])):
-            wrapped = VertexSet._wrap(n, list(masks))
-            assert wrapped == [VertexSet.from_mask(n, m) for m in masks]
-            assert all(type(s) is VertexSet for s in wrapped)
+            # the same sets as mirrored keys, whose bits above n are dropped
+            both = _mirrored(n)
+            mirrored = [sum(both[v] for v in iter_bits(m)) for m in masks]
+            assert any(k >> n for k in mirrored) or n == 0
+            for keys in (masks, mirrored):
+                wrapped = VertexSet._wrap(n, list(keys))
+                assert wrapped == [VertexSet.from_mask(n, m) for m in masks]
+                assert all(type(s) is VertexSet for s in wrapped)
+        # product sets over P14 x C5, 70 flat vertices, go through the same wrap
+        both = _mirrored(70)
+        masks = [0, 1, 1 << 69, (1 << 70) - 1, 0b1011 << 33]
+        mirrored = [sum(both[v] for v in iter_bits(m)) for m in masks]
+        wrapped = ProductSet._wrap_mirrored(14, 5, mirrored)
+        assert wrapped == [ProductSet(14, 5, [divmod(v, 5) for v in iter_bits(m)]) for m in masks]
+        assert [d.mask for d in wrapped] == masks
+        assert all(type(d) is ProductSet for d in wrapped)
+
+    @pytest.mark.parametrize("n", [1, 5, 9, 70])
+    def test_mirrored_sort_gives_canonical_order(self, n):
+        rng = Random(n)
+        masks = list({rng.getrandbits(n) for _ in range(300)})
+        both = _mirrored(n)
+        keys = [sum(both[v] for v in iter_bits(m)) for m in masks]
+        _sort_mirrored(keys)
+        ordered = sorted((VertexSet.from_mask(n, m) for m in masks), key=set_sort_key)
+        assert VertexSet._wrap(n, keys) == ordered
 
     def test_set_algebra(self):
         a = VertexSet(5, [0, 1, 3])
@@ -72,6 +101,15 @@ class TestVertexSet:
         assert a.intersection(b).members == (1,)
         assert a.difference(b).members == (0, 3)
         assert VertexSet(5, [1]).issubset(a)
+
+
+def test_universal_mask():
+    assert _universal_mask(Graph(1)) == 1
+    assert _universal_mask(complete_graph(4)) == 0b1111
+    assert _universal_mask(Graph(5, [(2, v) for v in (0, 1, 3, 4)])) == 1 << 2
+    assert _universal_mask(cycle_graph(5)) == 0
+    assert _universal_mask(path_graph(3)) == 1 << 1
+    assert _universal_mask(edgeless_graph(2)) == 0
 
 
 class TestParse:

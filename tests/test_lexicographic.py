@@ -172,6 +172,13 @@ class TestProductSet:
         assert d.pairs == tuple(sorted(pairs)) and list(d) == sorted(pairs)
         assert d.mask == sum(1 << (g * fiber_n + h) for g, h in pairs)
 
+    def test_pairs_stay_exact_as_a_fiber_size_meets_wider_bases(self):
+        # one pair row serves every base with fiber size 7; it grows on demand
+        for base_n in (1, 3, 2, 40, 5, 82):
+            pairs = [(0, 6), (base_n // 2, 3), (base_n - 1, 0), (base_n - 1, 6)]
+            d = ProductSet(base_n, 7, pairs)
+            assert d.pairs == tuple(sorted(set(pairs)))
+
     def test_sets_of_one_shape_share_their_pair_tuples(self):
         a = ProductSet(6, 4, [(0, 1), (3, 2), (5, 3)])
         b = ProductSet(6, 4, [(3, 2), (4, 0), (5, 3)])
