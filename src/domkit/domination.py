@@ -108,6 +108,15 @@ def _redundant_mask(graph: Graph, dmask: int) -> int:
     return out
 
 
+def _leaf_supports(graph: Graph, dmask: int) -> list[int]:
+    """For each redundant member, ascending, the mask of its leaf neighbors."""
+    redundant = _redundant_mask(graph, dmask)
+    if not redundant:
+        return []
+    leaves = _leaves_mask(graph, dmask)
+    return [graph.adj_mask(r) & leaves for r in iter_bits(redundant)]
+
+
 def classify(graph: Graph, d: VertexSet) -> DominationClassification:
     """Tag every vertex with its domination status relative to ``d``."""
     _require_nonempty(graph)
@@ -151,14 +160,7 @@ def is_minimal_dominating(graph: Graph, d: VertexSet) -> bool:
 
 
 def _is_irreducible_mask(graph: Graph, dmask: int) -> bool:
-    dominated, private = _private_cover(graph, dmask)
-    if dominated != graph.full_mask:
-        return False
-    leaves = _leaves_mask(graph, dmask)
-    return all(
-        graph.adj_mask(u) & leaves or graph.closed_mask(u) & private
-        for u in iter_bits(dmask)
-    )
+    return _closed_union(graph, dmask) == graph.full_mask and all(_leaf_supports(graph, dmask))
 
 
 def is_irreducible_dominating(graph: Graph, d: VertexSet) -> bool:
@@ -204,33 +206,6 @@ def is_minimal_total_dominating(graph: Graph, d: VertexSet) -> bool:
     return True
 
 
-def _find_cover(graph: Graph, k: int, closed: bool) -> int | None:
-    """Search for a set of size <= k (k >= 1) whose neighborhoods cover all vertices.
-
-    Branches on the neighborhood of the lowest uncovered vertex: any covering
-    set must contain one of its (closed) neighbors, so the search is complete
-    with depth at most k.  A frame is a node plus the branch vertices it has
-    yet to try; the lowest is tried first and its subtree searched before the
-    next, so the explicit stack returns the same cover as a recursive search.
-    """
-    cover = graph.closed_mask if closed else graph.adj_mask
-    # by symmetry, u covers v exactly when u lies in cover(v)
-    stack = [(graph.full_mask, 0, k, cover(0))]
-    while stack:
-        uncovered, chosen, remaining, options = stack.pop()
-        if not options:
-            continue
-        low = options & -options
-        stack.append((uncovered, chosen, remaining, options ^ low))
-        left = uncovered & ~cover(low.bit_length() - 1)
-        if not left:
-            return chosen | low
-        if remaining > 1:
-            v = (left & -left).bit_length() - 1
-            stack.append((left, chosen | low, remaining - 1, cover(v)))
-    return None
-
-
 def _minimum_cover(graph: Graph, closed: bool, reach: int) -> int | None:
     """The mask of a smallest covering set if one has at most ``reach`` vertices.
 
@@ -240,7 +215,11 @@ def _minimum_cover(graph: Graph, closed: bool, reach: int) -> int | None:
     searching further.
     """
     _require_nonempty(graph)
-    covers = (_find_cover(graph, k, closed) for k in range(1, reach + 1))
+    cover = graph.closed_mask if closed else graph.adj_mask
+    # u covers v exactly when v covers u, so one list is both the edges (the
+    # vertices covering each vertex) and the incidence (those each one covers)
+    masks = [cover(v) for v in range(graph.n)]
+    covers = (hypergraphs._hitting_set(masks, masks, k) for k in range(1, reach + 1))
     return next((c for c in covers if c is not None), None)
 
 

@@ -95,13 +95,6 @@ def _pair_index(u: int, v: int) -> int:
     return v * (v - 1) // 2 + u
 
 
-def edge_mask(graph: Graph) -> int:
-    mask = 0
-    for u, v in graph.edges:
-        mask |= 1 << _pair_index(u, v)
-    return mask
-
-
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
     edges = [
         (u, v)

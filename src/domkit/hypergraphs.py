@@ -8,16 +8,17 @@ intermediate families.
 
 The fixed-size decision "every minimal transversal has size k" avoids
 enumeration and is polynomial for fixed k.  A depth-first search of depth at
-most k - 1 decides whether a smaller transversal exists; if so, the witness
-is the lexicographically first minimum transversal.  Otherwise a minimal
-transversal larger than k exists exactly when some (k+1)-set S is
-irredundant (each member has a private edge, one that meets S in that member
-alone) and, for some choice of one private edge per member, S plus every
-vertex outside S and outside the chosen edges hits all edges (Cockayne,
-Hedetniemi and Miller, Canad. Math. Bull. 1978, on irredundance; Eiter and
-Gottlob, SIAM J. Comput. 1995, on duality with a bounded-size side).  The
-witness is that set for the first S in ascending combination order and its
-first choice in edge order, minimalized by one ascending removal pass.
+most k - 1 (``_hitting_set``) decides whether a smaller transversal exists;
+if so, the witness is the lexicographically first minimum transversal.
+Otherwise a minimal transversal larger than k exists exactly when some
+(k+1)-set S is irredundant (each member has a private edge, one that meets S
+in that member alone) and, for some choice of one private edge per member, S
+plus every vertex outside S and outside the chosen edges hits all edges
+(Cockayne, Hedetniemi and Miller, Canad. Math. Bull. 1978, on irredundance;
+Eiter and Gottlob, SIAM J. Comput. 1995, on duality with a bounded-size
+side).  The witness is that set for the first S in ascending combination
+order and its first choice in edge order, minimalized by one ascending
+removal pass.
 """
 
 from __future__ import annotations
@@ -192,21 +193,33 @@ def minimal_transversals_up_to_size(h: Hypergraph, k: int) -> list[VertexSet]:
     return out
 
 
-def _has_transversal_below(edges: tuple[int, ...], incidence: list[int], k: int) -> bool:
-    """Whether some transversal has fewer than ``k`` vertices.
+def _hitting_set(edges: list[int] | tuple[int, ...], incidence: list[int],
+                 k: int) -> int | None:
+    """The mask of a set of at most ``k`` vertices that hits every edge, or None.
 
-    Depth-first to depth k - 1, branching on an unhit edge with the fewest
-    vertices: every transversal contains one of its vertices.
+    ``incidence[v]`` is the mask of the indices of the edges that contain v.
+    Depth-first, branching on the lowest unhit edge: every hitting set
+    contains one of its vertices.  A frame is a node plus the vertices of its
+    branch edge it has yet to try; the lowest is tried first and its subtree
+    searched before the next, so the explicit stack returns the same set as
+    a recursive search.
     """
-    stack = [((1 << len(edges)) - 1, k - 1)]
+    unhit = (1 << len(edges)) - 1
+    if not unhit:
+        return 0
+    stack = [(unhit, 0, k, edges[0])] if k > 0 else []
     while stack:
-        unhit, budget = stack.pop()
-        if not unhit:
-            return True
-        if budget:
-            branch = min((edges[i] for i in iter_bits(unhit)), key=int.bit_count)
-            stack.extend((unhit & ~incidence[v], budget - 1) for v in iter_bits(branch))
-    return False
+        unhit, chosen, budget, options = stack.pop()
+        if not options:
+            continue
+        low = options & -options
+        stack.append((unhit, chosen, budget, options ^ low))
+        left = unhit & ~incidence[low.bit_length() - 1]
+        if not left:
+            return chosen | low
+        if budget > 1:
+            stack.append((left, chosen | low, budget - 1, edges[(left & -left).bit_length() - 1]))
+    return None
 
 
 def _fill_around(edges: tuple[int, ...], full: int, members: int, private: list[int],
@@ -294,7 +307,7 @@ def all_minimal_transversals_have_size(
         raise ValueError("transversal size must be at least one")
     edges = h.edge_masks
     incidence = _edge_incidence(h.n, edges)
-    if _has_transversal_below(edges, incidence, k):
+    if _hitting_set(edges, incidence, k - 1) is not None:
         return False, minimal_transversals_up_to_size(h, k - 1)[0]
     witness = _oversized_transversal(h.n, edges, incidence, k)
     if witness is None:

@@ -31,8 +31,7 @@ from .graphs import (
 from .domination import (
     DEFAULT_ENUMERATION_CAP,
     _check_cap,
-    _leaves_mask,
-    _redundant_mask,
+    _leaf_supports,
     _require_nonempty,
     enumerate_irreducible_dominating_sets,
     enumerate_minimal_dominating_sets,
@@ -323,17 +322,10 @@ def _minimality(base: Graph, fiber_graph: Graph, d: ProductSet) -> ProductMinima
             cond_ii = False
             break
 
-    leaves = _leaves_mask(base, proj.mask)
-    cond_iii = True
-    for r in iter_bits(_redundant_mask(base, proj.mask)):
-        supported = False
-        for y in iter_bits(base.adj_mask(r) & leaves):
-            if not is_dominating(fiber_graph, fibers[y]):
-                supported = True
-                break
-        if not supported:
-            cond_iii = False
-            break
+    cond_iii = all(
+        any(not is_dominating(fiber_graph, fibers[y]) for y in iter_bits(support))
+        for support in _leaf_supports(base, proj.mask)
+    )
 
     return ProductMinimalityReport(cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii)
 
@@ -382,13 +374,11 @@ def _leaf_admissible(
     tested once per such pattern; the patterns are disjoint, so every
     admissible combination lies under exactly one returned restriction.
     """
-    redundant = _redundant_mask(base, p.mask)
-    if not redundant:
+    supports = _leaf_supports(base, p.mask)
+    if not supports:
         return [choice_lists]
     if complete:
         return []
-    leaves = _leaves_mask(base, p.mask)
-    supports = [base.adj_mask(r) & leaves for r in iter_bits(redundant)]
     union = 0
     for s in supports:
         union |= s
@@ -440,8 +430,8 @@ def enumerate_minimal_dominating_sets_product(
     dominated, so their options are single fiber vertices; the leaf
     condition depends only on which of them are universal, and is tested
     once per such pattern of the leaves it names rather than once per set
-    (see :func:`_leaf_admissible`, which reads the redundant members off one
-    bitmask pass).
+    (see :func:`_leaf_admissible`, which reads the leaf neighbors of each
+    redundant member off :func:`domination._leaf_supports`).
 
     The canonical order is by size, then by ascending pairs, which is
     ascending flat indices, so :func:`graphs._sort_mirrored` gives it.  The

@@ -79,6 +79,11 @@ class CheckResult:
     detail: str = ""
 
 
+def _result(name: str, bad: int, instances: int, noun: str = "mismatches") -> CheckResult:
+    """The scoreboard line of a check that tallies its failures in ``bad``."""
+    return CheckResult(name, bad == 0, instances, f"{bad} {noun}" if bad else "")
+
+
 @dataclass(frozen=True)
 class Scale:
     pair_factor_max: int          # exhaustive factor sizes for per-set product checks
@@ -143,20 +148,20 @@ def _family_up_to(n_max: int) -> list[Graph]:
     return out
 
 
-def _product_set_samples(product, rng: Random, count: int) -> list[ProductSet]:
-    """All subsets when the product is tiny, otherwise seeded random ones."""
-    flat_n = product.graph.n
-    if flat_n <= 9:
-        return [
-            ProductSet.from_flat(product, VertexSet.from_mask(flat_n, m))
-            for m in range(1 << flat_n)
-        ]
-    return [
-        ProductSet.from_flat(
-            product, VertexSet.from_mask(flat_n, rng.getrandbits(flat_n))
-        )
-        for _ in range(count)
-    ]
+def _product_set_cases(scale: Scale, rng: Random):
+    """``(base, fiber, product, set)`` for every factor pair up to
+    ``pair_factor_max`` vertices: every subset when the product has at most
+    nine vertices, otherwise ``random_sets_per_pair`` seeded random ones."""
+    fam = _family_up_to(scale.pair_factor_max)
+    for g, h in itertools.product(fam, repeat=2):
+        product = lex_product(g, h)
+        flat_n = product.graph.n
+        if flat_n <= 9:
+            masks = range(1 << flat_n)
+        else:
+            masks = (rng.getrandbits(flat_n) for _ in range(scale.random_sets_per_pair))
+        for m in masks:
+            yield g, h, product, ProductSet.from_flat(product, VertexSet.from_mask(flat_n, m))
 
 
 def _flat_dominates_vertex(product, flat_d: VertexSet, flat_v: int) -> bool:
@@ -168,49 +173,29 @@ def check_product_vertex_domination(scale: Scale, rng: Random) -> CheckResult:
     that a dominated pair always has its base coordinate dominated."""
     bad = 0
     instances = 0
-    fam = _family_up_to(scale.pair_factor_max)
-    for g in fam:
-        for h in fam:
-            product = lex_product(g, h)
-            for d in _product_set_samples(product, rng, scale.random_sets_per_pair):
-                instances += 1
-                flat_d = d.flatten()
-                proj = d.projection()
-                for flat_v in range(product.graph.n):
-                    pair = product.decode(flat_v)
-                    got = dominates_product_vertex(product, d, pair)
-                    want = _flat_dominates_vertex(product, flat_d, flat_v)
-                    if got != want:
-                        bad += 1
-                    if want and not g.closed_mask(pair[0]) & proj.mask:
-                        bad += 1
-    return CheckResult(
-        "product vertex domination decomposes through projections",
-        bad == 0,
-        instances,
-        f"{bad} mismatches" if bad else "",
-    )
+    for g, _, product, d in _product_set_cases(scale, rng):
+        instances += 1
+        flat_d = d.flatten()
+        proj = d.projection()
+        for flat_v in range(product.graph.n):
+            pair = product.decode(flat_v)
+            got = dominates_product_vertex(product, d, pair)
+            want = _flat_dominates_vertex(product, flat_d, flat_v)
+            if got != want:
+                bad += 1
+            if want and not g.closed_mask(pair[0]) & proj.mask:
+                bad += 1
+    return _result("product vertex domination decomposes through projections", bad, instances)
 
 
 def check_product_domination(scale: Scale, rng: Random) -> CheckResult:
     bad = 0
     instances = 0
-    fam = _family_up_to(scale.pair_factor_max)
-    for g in fam:
-        for h in fam:
-            product = lex_product(g, h)
-            for d in _product_set_samples(product, rng, scale.random_sets_per_pair):
-                instances += 1
-                got = is_dominating_product(product, d)
-                want = is_dominating(product.graph, d.flatten())
-                if got != want:
-                    bad += 1
-    return CheckResult(
-        "product domination via projection and barely-dominated fibers",
-        bad == 0,
-        instances,
-        f"{bad} mismatches" if bad else "",
-    )
+    for _, _, product, d in _product_set_cases(scale, rng):
+        instances += 1
+        if is_dominating_product(product, d) != is_dominating(product.graph, d.flatten()):
+            bad += 1
+    return _result("product domination via projection and barely-dominated fibers", bad, instances)
 
 
 def check_product_minimality(scale: Scale, rng: Random) -> CheckResult:
@@ -219,40 +204,22 @@ def check_product_minimality(scale: Scale, rng: Random) -> CheckResult:
     constructive enumerator against flat brute force."""
     bad = 0
     instances = 0
-    fam = _family_up_to(scale.pair_factor_max)
-    for g in fam:
-        for h in fam:
-            product = lex_product(g, h)
-            h_universal = any(
-                h.closed_mask(v) == h.full_mask for v in range(h.n)
-            )
-            for d in _product_set_samples(product, rng, scale.random_sets_per_pair):
-                instances += 1
-                report = check_minimal_product(product, d)
-                want = is_minimal_dominating(product.graph, d.flatten())
-                if report.minimal != want:
-                    bad += 1
-                if (
-                    not h_universal
-                    and report.cond_i
-                    and report.cond_ii
-                    and not report.cond_iii
-                ):
-                    bad += 1
-    for g in _family_up_to(scale.enum_base_max):
-        for h in _family_up_to(scale.enum_fiber_max):
-            instances += 1
-            product = lex_product(g, h)
-            got = {d.flatten() for d in enumerate_minimal_dominating_sets_product(g, h)}
-            want = set(bruteforce.minimal_dominating_sets(product.graph))
-            if got != want:
-                bad += 1
-    return CheckResult(
-        "product minimality via irreducible projection and fiber roles",
-        bad == 0,
-        instances,
-        f"{bad} mismatches" if bad else "",
-    )
+    for _, h, product, d in _product_set_cases(scale, rng):
+        instances += 1
+        report = check_minimal_product(product, d)
+        if report.minimal != is_minimal_dominating(product.graph, d.flatten()):
+            bad += 1
+        h_universal = any(h.closed_mask(v) == h.full_mask for v in range(h.n))
+        if not h_universal and report.cond_i and report.cond_ii and not report.cond_iii:
+            bad += 1
+    for g, h in itertools.product(
+        _family_up_to(scale.enum_base_max), _family_up_to(scale.enum_fiber_max)
+    ):
+        instances += 1
+        got = {d.flatten() for d in enumerate_minimal_dominating_sets_product(g, h)}
+        if got != set(bruteforce.minimal_dominating_sets(lex_product(g, h).graph)):
+            bad += 1
+    return _result("product minimality via irreducible projection and fiber roles", bad, instances)
 
 
 def check_gamma_formula(scale: Scale, rng: Random) -> CheckResult:
@@ -261,12 +228,12 @@ def check_gamma_formula(scale: Scale, rng: Random) -> CheckResult:
     to total domination."""
     bad = 0
     instances = 0
-    for g in _family_up_to(scale.enum_base_max):
-        for h in _family_up_to(scale.enum_fiber_max):
-            instances += 1
-            product = lex_product(g, h)
-            if gamma_product(g, h) != bruteforce.gamma(product.graph):
-                bad += 1
+    for g, h in itertools.product(
+        _family_up_to(scale.enum_base_max), _family_up_to(scale.enum_fiber_max)
+    ):
+        instances += 1
+        if gamma_product(g, h) != bruteforce.gamma(lex_product(g, h).graph):
+            bad += 1
     for n in (2, 3, 4):
         for h in (cycle_graph(4), path_graph(4), edgeless_graph(2)):
             instances += 1
@@ -294,28 +261,19 @@ def check_gamma_formula(scale: Scale, rng: Random) -> CheckResult:
             == gamma(product.graph)
         ):
             bad += 1
-    return CheckResult(
-        "product domination number from factor parameters",
-        bad == 0,
-        instances,
-        f"{bad} mismatches" if bad else "",
-    )
+    return _result("product domination number from factor parameters", bad, instances)
 
 
 def check_upper_domination_bound(scale: Scale, rng: Random) -> CheckResult:
-    bad = 0
-    instances = 0
-    for g in _family_up_to(scale.enum_base_max):
-        for h in _family_up_to(scale.enum_fiber_max):
-            instances += 1
-            _, holds = upper_gamma_product_bound(g, h)
-            if not holds:
-                bad += 1
-    return CheckResult(
+    pairs = list(itertools.product(
+        _family_up_to(scale.enum_base_max), _family_up_to(scale.enum_fiber_max)
+    ))
+    bad = sum(not upper_gamma_product_bound(g, h)[1] for g, h in pairs)
+    return _result(
         "product upper domination at least independence times fiber upper domination",
-        bad == 0,
-        instances,
-        f"{bad} violations" if bad else "",
+        bad,
+        len(pairs),
+        "violations",
     )
 
 
@@ -369,12 +327,7 @@ def check_product_recognition(scale: Scale, rng: Random) -> CheckResult:
         want = is_well_dominated_enum(flat, cap=flat.n).verdict
         if got != want:
             bad += 1
-    return CheckResult(
-        "well-dominated products decided from the factors",
-        bad == 0,
-        instances,
-        f"{bad} mismatches" if bad else "",
-    )
+    return _result("well-dominated products decided from the factors", bad, instances)
 
 
 def check_well_covered_alpha2(scale: Scale, rng: Random) -> CheckResult:
@@ -385,11 +338,10 @@ def check_well_covered_alpha2(scale: Scale, rng: Random) -> CheckResult:
         want = all(len(s) == 2 for s in bruteforce.maximal_independent_sets(g))
         if is_well_covered_alpha2(g) != want:
             bad += 1
-    return CheckResult(
+    return _result(
         "well-covered graphs with independence number two via the complement",
-        bad == 0,
+        bad,
         instances,
-        f"{bad} mismatches" if bad else "",
     )
 
 
@@ -410,9 +362,10 @@ def check_gamma2_recognition(scale: Scale, rng: Random) -> CheckResult:
     instances = 0
     for g in _recognition_pool(scale, rng):
         rep = is_well_dominated_gamma2(g)
-        if rep.verdict and (gamma(g) != 2 or not is_well_covered_alpha2(g)):
+        two = gamma(g) == 2
+        if rep.verdict and (not two or not is_well_covered_alpha2(g)):
             bad += 1
-        if gamma(g) != 2:
+        if not two:
             continue
         instances += 1
         if rep.verdict != is_well_dominated_enum(g).verdict:
@@ -437,11 +390,10 @@ def check_gamma2_recognition(scale: Scale, rng: Random) -> CheckResult:
         bad += 1
     if not is_well_dominated_gamma2(path_graph(4)).verdict:
         bad += 1
-    return CheckResult(
+    return _result(
         "well-dominated graphs with domination number two via triangle pairs",
-        bad == 0,
+        bad,
         instances,
-        f"{bad} mismatches" if bad else "",
     )
 
 
@@ -464,12 +416,7 @@ def check_bounded_k_recognition(scale: Scale, rng: Random) -> CheckResult:
             or not is_minimal_dominating(g, rep.witness_large)
         ):
             bad += 1
-    return CheckResult(
-        "bounded domination number recognition via transversal sizes",
-        bad == 0,
-        instances,
-        f"{bad} mismatches" if bad else "",
-    )
+    return _result("bounded domination number recognition via transversal sizes", bad, instances)
 
 
 def check_method_agreement(scale: Scale, rng: Random) -> CheckResult:
@@ -485,12 +432,7 @@ def check_method_agreement(scale: Scale, rng: Random) -> CheckResult:
             bad += 1
         if k == 2 and is_well_dominated_gamma2(g).verdict != want:
             bad += 1
-    return CheckResult(
-        "recognizer method agreement",
-        bad == 0,
-        instances,
-        f"{bad} mismatches" if bad else "",
-    )
+    return _result("recognizer method agreement", bad, instances)
 
 
 def check_transversal_machinery(scale: Scale, rng: Random) -> CheckResult:
@@ -571,12 +513,7 @@ def check_irreducible_sets(scale: Scale, rng: Random) -> CheckResult:
         )
         if got != want:
             bad += 1
-    return CheckResult(
-        "irreducible dominating set characterization and census",
-        bad == 0,
-        instances,
-        f"{bad} mismatches" if bad else "",
-    )
+    return _result("irreducible dominating set characterization and census", bad, instances)
 
 
 def check_prism_induction(scale: Scale, rng: Random) -> CheckResult:
@@ -607,11 +544,10 @@ def check_prism_induction(scale: Scale, rng: Random) -> CheckResult:
         t2 = VertexSet(n, verts[3:])
         if induces_c6_complement(g, t, t2) != oracle(g, t, t2):
             bad += 1
-    return CheckResult(
+    return _result(
         "matched-triangle-pair induction against generic isomorphism",
-        bad == 0,
+        bad,
         scale.prism_induction_samples,
-        f"{bad} mismatches" if bad else "",
     )
 
 
@@ -632,12 +568,7 @@ def check_worked_example(scale: Scale, rng: Random) -> CheckResult:
     all_minimal = enumerate_minimal_dominating_sets_product(g, h)
     if d_prime not in all_minimal or d in all_minimal:
         bad += 1
-    return CheckResult(
-        "worked product example regression",
-        bad == 0,
-        4,
-        f"{bad} mismatches" if bad else "",
-    )
+    return _result("worked product example regression", bad, 4)
 
 
 ALL_CHECKS = [

@@ -384,6 +384,28 @@ class TestVerify:
         assert main(["verify", "--scale", "small"]) == 0
         assert capsys.readouterr().out == SMALL_SCOREBOARD
 
+    def test_a_failing_check_is_reported_and_exits_one(self, monkeypatch, capsys):
+        from domkit import verification
+
+        # a fast path that calls every set dominating disagrees with the flat
+        # oracle on each of the 3345 non-dominating sets
+        monkeypatch.setattr(verification, "is_dominating_product", lambda product, d: True)
+        result = verification.check_product_domination(verification.SCALES["small"], Random(0))
+        assert (result.passed, result.detail) == (False, "3345 mismatches")
+        name = "product domination via projection and barely-dominated fibers [9362 instances]"
+        assert main(["verify", "--scale", "small"]) == 1
+        assert capsys.readouterr().out == (
+            SMALL_SCOREBOARD.replace(f"PASS {name}\n", f"FAIL {name} (3345 mismatches)\n")
+            .replace("result: 15/15", "result: 14/15")
+        )
+
+    def test_a_failing_bound_reports_violations(self, monkeypatch):
+        from domkit import verification
+
+        monkeypatch.setattr(verification, "upper_gamma_product_bound", lambda g, h: (0, False))
+        result = verification.check_upper_domination_bound(verification.SCALES["small"], Random(0))
+        assert (result.passed, result.instances, result.detail) == (False, 21, "21 violations")
+
     def test_scale_choices_are_the_suite_scales(self):
         from domkit import verification
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from domkit import bruteforce
 from domkit.domination import (
     EnumerationCapExceeded,
+    _leaf_supports,
     _minimum_cover,
     alpha,
     classify,
@@ -119,10 +120,11 @@ class TestPrivateNeighbors:
 
 class TestPrivateCoverMask:
     def test_matches_per_vertex_definition_exhaustively(self):
-        # Redundancy, leaves, minimality and irreducibility all read private
-        # closed neighbors off one "dominated exactly once" mask; here they
-        # are spelled out vertex by vertex: v is a private closed neighbor
-        # of u when v is in N[u] and N[v] meets the set exactly in {u}.
+        # Redundancy, leaves, leaf supports, minimality and irreducibility all
+        # read private closed neighbors off one "dominated exactly once"
+        # mask; here they are spelled out vertex by vertex: v is a private
+        # closed neighbor of u when v is in N[u] and N[v] meets the set
+        # exactly in {u}.
         for n in range(1, 7):
             for g in nonisomorphic_graphs(n):
                 closed = [{w for w in range(n) if w == v or g.adjacent(v, w)} for v in range(n)]
@@ -139,9 +141,13 @@ class TestPrivateCoverMask:
                     irreducible = dominating and all(
                         private[u] or (closed[u] - {u}) & leaves for u in members
                     )
+                    supports = [
+                        sum(1 << w for w in (closed[u] - {u}) & leaves) for u in sorted(redundant)
+                    ]
                     info = classify(g, d)
                     assert set(info.redundant) == redundant
                     assert set(info.leaves) == leaves
+                    assert _leaf_supports(g, mask) == supports
                     assert is_minimal_dominating(g, d) == (dominating and not redundant)
                     assert is_irreducible_dominating(g, d) == irreducible
                     for u in members:
@@ -278,13 +284,6 @@ class TestEnumerators:
     def test_irreducible_complete_graph(self, k3):
         got = [s.members for s in enumerate_irreducible_dominating_sets(k3)]
         assert got == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
-
-    def test_irreducible_matches_brute_force_exhaustively(self):
-        for n in range(1, 6):
-            for g in nonisomorphic_graphs(n):
-                assert enumerate_irreducible_dominating_sets(
-                    g
-                ) == bruteforce.irreducible_dominating_sets(g)
 
     @given(graphs(max_n=7))
     @settings(max_examples=60, deadline=None)

@@ -24,6 +24,8 @@ from domkit.domination import (
 from domkit.graphs import GraphParseError, VertexSet, set_sort_key
 from domkit.hypergraphs import (
     Hypergraph,
+    _edge_incidence,
+    _hitting_set,
     all_minimal_transversals_have_size,
     enumerate_minimal_transversals,
     is_minimal_transversal,
@@ -164,6 +166,37 @@ class TestBoundedSize:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             minimal_transversals_up_to_size(TRIANGLE, -1)
+
+
+class TestHittingSet:
+    def test_found_exactly_when_a_transversal_is_small_enough(self):
+        rng = Random(8)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            h = random_sperner_hypergraph(n, rng)
+            edges = h.edge_masks
+            incidence = _edge_incidence(n, edges)
+            smallest = min(len(x) for x in bruteforce.minimal_transversals(h))
+            for k in range(n + 1):
+                found = _hitting_set(edges, incidence, k)
+                if k < smallest:
+                    assert found is None
+                else:
+                    assert found is not None and found.bit_count() <= k
+                    assert all(found & e for e in edges)
+
+    def test_lowest_unhit_edge_and_ascending_vertices(self):
+        # edges {0, 1}, {1, 2}, {2, 3}: trying 0 first leaves {1, 2} unhit,
+        # whose lowest vertex 1 leaves {2, 3}; at k = 2, 0 then 2 is found
+        # before 1 then 2 or 1 then 3
+        edges = (0b0011, 0b0110, 0b1100)
+        incidence = _edge_incidence(4, edges)
+        assert _hitting_set(edges, incidence, 2) == 0b0101
+        assert _hitting_set(edges, incidence, 1) is None
+
+    def test_no_edges_need_no_vertices(self):
+        assert _hitting_set((), [0, 0], 0) == 0
+        assert _hitting_set((0b1,), [0b1], 0) is None
 
 
 class TestFixedSizeDecision:

@@ -13,9 +13,7 @@ from domkit.domination import (
     enumerate_irreducible_dominating_sets,
     enumerate_minimal_dominating_sets,
     gamma_t,
-    is_dominating,
     is_irreducible_dominating,
-    is_minimal_dominating,
 )
 from domkit.families import (
     complete_graph,
@@ -57,14 +55,6 @@ def spider_graph(*legs):
             edges.append((prev, n))
             prev, n = n, n + 1
     return Graph(n, edges)
-
-
-def small_products(max_base=3, max_fiber=3):
-    for nb in range(1, max_base + 1):
-        for nf in range(1, max_fiber + 1):
-            for base in nonisomorphic_graphs(nb):
-                for fiber in nonisomorphic_graphs(nf):
-                    yield lex_product(base, fiber)
 
 
 class TestConstruction:
@@ -193,26 +183,6 @@ class TestVertexDomination:
         assert dominates_product_vertex(p5p3, d, (1, 0))
         assert not dominates_product_vertex(p5p3, d, (3, 0))
 
-    def test_matches_flat_adjacency_everywhere(self):
-        rng = Random(11)
-        for prod in small_products():
-            flat_n = prod.graph.n
-            masks = (
-                range(1 << flat_n)
-                if flat_n <= 6
-                else [rng.getrandbits(flat_n) for _ in range(40)]
-            )
-            for mask in masks:
-                d = ProductSet.from_flat(prod, VertexSet.from_mask(flat_n, mask))
-                for v in range(flat_n):
-                    want = bool(prod.graph.closed_mask(v) & mask)
-                    assert dominates_product_vertex(prod, d, prod.decode(v)) == want
-                    # a dominated pair always projects to a dominated base vertex
-                    if want:
-                        g, _ = prod.decode(v)
-                        assert prod.base.closed_mask(g) & d.projection().mask
-
-
 class TestSetDomination:
     def test_worked_examples(self, p5p3):
         assert is_dominating_product(p5p3, ProductSet(5, 3, [(1, 1), (2, 0), (3, 1)]))
@@ -222,21 +192,6 @@ class TestSetDomination:
         # maximal independent base set crossed with a minimal dominating fiber set
         d = ProductSet(5, 3, [(g, h) for g in (0, 2, 4) for h in (1,)])
         assert is_dominating_product(p5p3, d)
-
-    def test_matches_flat(self):
-        rng = Random(12)
-        for prod in small_products():
-            flat_n = prod.graph.n
-            masks = (
-                range(1 << flat_n)
-                if flat_n <= 6
-                else [rng.getrandbits(flat_n) for _ in range(60)]
-            )
-            for mask in masks:
-                flat = VertexSet.from_mask(flat_n, mask)
-                d = ProductSet.from_flat(prod, flat)
-                assert is_dominating_product(prod, d) == is_dominating(prod.graph, flat)
-
 
 class TestMinimality:
     def test_worked_example(self, p5p3):
@@ -253,28 +208,6 @@ class TestMinimality:
         report = check_minimal_product(p5p3, d)
         assert report.cond_i and report.cond_ii and report.cond_iii and report.minimal
 
-    def test_matches_flat(self):
-        rng = Random(13)
-        for prod in small_products():
-            flat_n = prod.graph.n
-            fiber = prod.fiber
-            no_universal = all(
-                fiber.closed_mask(h) != fiber.full_mask for h in range(fiber.n)
-            )
-            masks = (
-                range(1 << flat_n)
-                if flat_n <= 6
-                else [rng.getrandbits(flat_n) for _ in range(60)]
-            )
-            for mask in masks:
-                flat = VertexSet.from_mask(flat_n, mask)
-                report = check_minimal_product(prod, ProductSet.from_flat(prod, flat))
-                assert report.minimal == is_minimal_dominating(prod.graph, flat)
-                # without universal fiber vertices the third condition is free
-                if no_universal and report.cond_i and report.cond_ii:
-                    assert report.cond_iii
-
-
 class TestEnumerator:
     def test_k2_c4_sizes(self):
         sets = enumerate_minimal_dominating_sets_product(complete_graph(2), cycle_graph(4))
@@ -289,19 +222,6 @@ class TestEnumerator:
         sets = enumerate_minimal_dominating_sets_product(path_graph(5), path_graph(3))
         assert ProductSet(5, 3, [(1, 1), (3, 1)]) in sets
         assert ProductSet(5, 3, [(1, 1), (2, 0), (3, 1)]) not in sets
-
-    def test_matches_flat_brute_force(self):
-        for nb, nf in [(1, 3), (2, 3), (3, 2), (3, 3), (4, 2)]:
-            for base in nonisomorphic_graphs(nb):
-                for fiber in nonisomorphic_graphs(nf):
-                    got = {
-                        d.flatten()
-                        for d in enumerate_minimal_dominating_sets_product(base, fiber)
-                    }
-                    want = set(
-                        bruteforce.minimal_dominating_sets(lex_product(base, fiber).graph)
-                    )
-                    assert got == want
 
     def test_matches_flat_enumeration_in_order(self):
         # bases whose irreducible sets have redundant members with leaf
