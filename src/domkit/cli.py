@@ -232,17 +232,22 @@ def _cmd_well_dominated(args) -> int:
 def _bounded_k(graph: Graph, k: int | None, cap: int | None) -> RecognitionReport:
     """``--method bounded-k``, with the domination number found when ``k`` is None.
 
-    The domination number is searched as far as ``recognize`` searches it,
-    and a cover found there is handed over rather than searched for again.
-    A larger one needs the exact search, which runs only within the cap.
+    Sizes up to the reach of ``recognize``'s search are searched first, on
+    graphs of any size.  A ``k`` within that reach is checked by a search of
+    sizes up to ``k``.  Otherwise a cover found there is handed over when
+    ``k`` is None, or rejects the larger ``k`` with the domination number.
+    A domination number past the reach needs a search whose cost grows with
+    it, which runs only within the cap.
     """
-    if k is not None:
+    reach = DEFAULT_BOUNDED_K_THRESHOLD
+    if k is not None and k <= reach:
         return is_well_dominated_bounded_k(graph, k)
-    cover = _minimum_cover(graph, True, DEFAULT_BOUNDED_K_THRESHOLD)
-    if cover is not None:
+    cover = _minimum_cover(graph, True, reach)
+    if cover is None:
+        _check_cap(graph.n, cap)
+    elif k is None:
         return is_well_dominated_bounded_k(graph, cover.bit_count(), _cover=cover)
-    _check_cap(graph.n, cap)
-    return is_well_dominated_bounded_k(graph, gamma(graph))
+    return is_well_dominated_bounded_k(graph, gamma(graph) if k is None else k)
 
 
 def _cmd_verify(args) -> int:

@@ -11,6 +11,7 @@ accidental call on a large graph fails fast instead of running for hours.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import (
     Graph,
@@ -328,35 +329,38 @@ def upper_gamma(graph: Graph, cap: int | None = None) -> int:
     return len(enumerate_minimal_dominating_sets(graph, cap)[-1])
 
 
-def enumerate_irreducible_dominating_sets(
-    graph: Graph, cap: int | None = None
-) -> list[VertexSet]:
-    """All irreducible dominating sets, canonically ordered.
+def _irreducible_frames(graph: Graph) -> Iterator[tuple]:
+    """The leaf frames of the irreducible search, one per irreducible dominating set.
 
     Include/exclude search over the vertices in ascending order.  A frame is
     ``(i, members, dom, tot, support)``: the next vertex to decide, the
     members so far, the closed and the open neighborhood unions of the
-    members, and one mask per member.  Bits 0..n-1 of a member's mask are its
-    candidate private closed neighbors, the closed neighbors outside every
-    other member's closed neighborhood.  Bits n..2n-1 are its candidate leaf
-    neighbors, the neighbors outside every other member's open neighborhood.
-    Including i removes ``closed[i]`` and ``adj[i] << n`` from every member's
-    mask.  Excluding i changes no mask: while w is not a member, a mask holds
-    bit n+w exactly when it holds bit w, so leaf bits only ever count for
-    members.
+    members, and one mask per member, in ascending member order.  Bits
+    0..n-1 of a member's mask are its candidate private closed neighbors, the
+    closed neighbors outside every other member's closed neighborhood.  Bits
+    n..2n-1 are its candidate leaf neighbors, the neighbors outside every
+    other member's open neighborhood.  Including i removes ``closed[i]`` and
+    ``adj[i] << n`` from every member's mask.  Excluding i changes no mask:
+    while w is not a member, a mask holds bit n+w exactly when it holds bit
+    w, so leaf bits only ever count for members.
     Excluding i can leave only vertices of N[i] without a possible
     dominator, namely those whose highest closed neighbor is i.  A child is
     pruned once some vertex can no longer be dominated or some mask is empty;
     both conditions only get harder as the set grows, so the prune is sound.
     At i = n a mask is non-empty exactly when its member has a private closed
     neighbor or a leaf neighbor, so every leaf that survives is an
-    irreducible dominating set and needs no further test.  The search runs on
-    an explicit stack, so its depth is not limited by the recursion limit,
-    and the order it finds the sets in gives the canonical order without a
-    sort key.
+    irreducible dominating set and needs no further test.
+
+    Each leaf frame is yielded as the search popped it, so the search
+    allocates nothing per set, and a caller that keeps only the members
+    never holds every frame's masks at once.  In a leaf frame the members
+    whose mask has no bit below n are the redundant members, the high bits
+    ``mask >> n`` of such a member are exactly its leaf neighbors (with no
+    private closed neighbor, it keeps no bit of a non-member), and
+    ``members & tot`` are the totally dominated members.  The search runs on
+    an explicit stack, so its depth is not limited by the recursion limit.
+    The frames come in the reverse of canonical order within each size.
     """
-    _require_nonempty(graph)
-    _check_cap(graph.n, cap)
     n = graph.n
     closed = [graph.closed_mask(v) for v in range(n)]
     adj = [graph.adj_mask(v) for v in range(n)]
@@ -364,15 +368,14 @@ def enumerate_irreducible_dominating_sets(
     last = [0] * n
     for c in range(n):
         last[closed[c].bit_length() - 1] |= 1 << c
-    found: list[int] = []
-
     # Exclusion is pushed last, so it is searched first, as in a recursive
     # search.
     stack = [(0, 0, 0, 0, ())]
     while stack:
-        i, dmask, dom, tot, support = stack.pop()
+        frame = stack.pop()
+        i, dmask, dom, tot, support = frame
         if i == n:
-            found.append(dmask)
+            yield frame
             continue
         keep = ~(closed[i] | adj[i] << n)
         kept = tuple([s & keep for s in support])
@@ -383,10 +386,23 @@ def enumerate_irreducible_dominating_sets(
             )
         if not last[i] & ~dom:
             stack.append((i + 1, dmask, dom, tot, support))
-    # Two sets of one size differ first at their lowest differing vertex,
-    # which the search excluded before it included it: reversed, the leaves
-    # are in canonical order within each size, and a stable sort by size
-    # finishes it.
+
+
+def enumerate_irreducible_dominating_sets(
+    graph: Graph, cap: int | None = None
+) -> list[VertexSet]:
+    """All irreducible dominating sets, canonically ordered.
+
+    The sets are the member masks of the leaf frames of
+    :func:`_irreducible_frames`, whose frames also serve the product
+    enumerator directly.  Two sets of one size differ first at their lowest
+    differing vertex, which the search excluded before it included it: in
+    reverse, the frames are in canonical order within each size, and a
+    stable sort by size finishes it without a sort key.
+    """
+    _require_nonempty(graph)
+    _check_cap(graph.n, cap)
+    found = [frame[1] for frame in _irreducible_frames(graph)]
     found.reverse()
     found.sort(key=int.bit_count)
-    return VertexSet._wrap(n, found)
+    return VertexSet._wrap(graph.n, found)

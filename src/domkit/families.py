@@ -6,7 +6,8 @@ vertices is extended by a new vertex attached to every possible neighborhood,
 and the results are deduplicated by a canonical edge-mask.  Levels are cached
 on disk (override the location with DOMKIT_CACHE_DIR) so the property suites
 stay reproducible and cheap on repeated runs; a cached level is written
-atomically and regenerated when its size is not the known graph count.
+atomically and regenerated when its size is not the known graph count or
+its masks are not strictly ascending edge masks.
 """
 
 from __future__ import annotations
@@ -172,12 +173,22 @@ _LEVEL_SIZES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 def _read_level(cache_file: Path, n: int) -> list[int] | None:
-    """The cached level for n vertices, or None when missing or damaged."""
+    """The cached level for n vertices, or None when missing or damaged.
+
+    A level is written in strictly ascending order of edge masks on the
+    n(n-1)/2 vertex pairs; one that is not, or that has a mask outside that
+    range, would change which graphs the suites check, so it counts as
+    damaged too.
+    """
     try:
         masks = [int(tok, 16) for tok in cache_file.read_text().split()]
     except (OSError, ValueError):
         return None
     if not masks or len(masks) != _LEVEL_SIZES.get(n, len(masks)):
+        return None
+    if any(a >= b for a, b in zip(masks, masks[1:])):
+        return None
+    if masks[0] < 0 or masks[-1] >> n * (n - 1) // 2:
         return None
     return masks
 

@@ -31,9 +31,9 @@ from .graphs import (
 from .domination import (
     DEFAULT_ENUMERATION_CAP,
     _check_cap,
+    _irreducible_frames,
     _leaf_supports,
     _require_nonempty,
-    enumerate_irreducible_dominating_sets,
     enumerate_minimal_dominating_sets,
     gamma,
     gamma_t,
@@ -43,6 +43,10 @@ from .domination import (
     is_irreducible_dominating,
     is_minimal_dominating,
 )
+
+# no longer called here (product enumeration reads the irreducible search's
+# frames), but perfbench/tracer.py wraps the name in this module
+from .domination import enumerate_irreducible_dominating_sets  # noqa: F401
 
 
 class ProductGraph:
@@ -356,43 +360,23 @@ def _concatenations(choice_lists: list) -> list[int]:
 
 
 def _leaf_admissible(
-    base: Graph, p: VertexSet, choice_lists: list, universal: int, complete: bool
+    choice_lists: list, dmask: int, supports: list[int], split: list
 ) -> list[list]:
-    """Restrictions of ``choice_lists`` (one per member of ``p``) to the leaf condition.
+    """Restrictions of ``choice_lists`` (one per member of ``dmask``) to the leaf condition.
 
-    Every redundant member of ``p`` needs a leaf neighbor whose fiber vertex
-    is not universal.  ``universal`` is the flat mask of the pairs (x, h)
-    with h a universal vertex of the fiber graph, over every base vertex x,
-    and ``complete`` tells whether every fiber vertex is universal.  Without
-    a redundant member every combination is admissible, and with one but a
-    complete fiber graph none is.  Otherwise the leaves the condition names
-    are totally dominated, so their blocks are single pairs, and each is
-    split once into its non-universal and its universal blocks; both parts
-    are non-empty, since the enumerator calls this only for a fiber graph
-    with a universal vertex, and this one also has a vertex that is not.
-    Each named leaf is then restricted to one part, and the condition is
-    tested once per such pattern; the patterns are disjoint, so every
-    admissible combination lies under exactly one returned restriction.
+    ``supports`` holds the leaf neighbors of each redundant member, and every
+    redundant member needs one whose fiber vertex is not universal.  The
+    leaves it names are totally dominated, so their blocks are single pairs,
+    and ``split[y]`` is leaf y's blocks with a non-universal and with a
+    universal fiber vertex.  Each named leaf is restricted to one part, and
+    the condition is tested once per such pattern; the patterns are
+    disjoint, so every admissible combination lies under exactly one
+    returned restriction.
     """
-    supports = _leaf_supports(base, p.mask)
-    if not supports:
-        return [choice_lists]
-    if complete:
-        return []
     union = 0
     for s in supports:
         union |= s
-    named = tuple(iter_bits(union))
-    position = {x: i for i, x in enumerate(p.members)}
-    # parts[j][u]: the blocks of leaf named[j] whose fiber vertex is
-    # universal (u = True) or not (u = False)
-    parts = []
-    for y in named:
-        blocks = choice_lists[position[y]]
-        parts.append((
-            [b for b in blocks if not b & universal],
-            [b for b in blocks if b & universal],
-        ))
+    named = _members(union)
     out = []
     for kinds in itertools.product((False, True), repeat=len(named)):
         # kinds[j]: leaf named[j] gets a universal fiber vertex
@@ -403,8 +387,9 @@ def _leaf_admissible(
         if not all(s & free for s in supports):
             continue
         lists = list(choice_lists)
-        for y, split, is_universal in zip(named, parts, kinds):
-            lists[position[y]] = split[is_universal]
+        for y, is_universal in zip(named, kinds):
+            # leaf y's position among the members
+            lists[(dmask & ((1 << y) - 1)).bit_count()] = split[y][is_universal]
         out.append(lists)
     return out
 
@@ -423,15 +408,20 @@ def enumerate_minimal_dominating_sets_product(
     condition holds automatically).  The output equals brute-force
     minimal-dominating enumeration on the flattened product.
 
-    Sets are built as mirrored keys (see :func:`graphs._mirrored`) over the
-    flat index v = g * |V(H)| + h.  Each member x contributes one such block
-    per allowed option, built once per vertex and shared by every set that
-    uses it, and a set is the OR of its blocks.  Leaves are totally
-    dominated, so their options are single fiber vertices; the leaf
-    condition depends only on which of them are universal, and is tested
-    once per such pattern of the leaves it names rather than once per set
-    (see :func:`_leaf_admissible`, which reads the leaf neighbors of each
-    redundant member off :func:`domination._leaf_supports`).
+    The base sets come as the leaf frames of
+    :func:`domination._irreducible_frames`, which already hold the totally
+    dominated members, the redundant members and their leaf neighbors, so
+    nothing about P is computed again.  Sets are built as mirrored keys (see
+    :func:`graphs._mirrored`) over the flat index v = g * |V(H)| + h.  Each
+    base vertex x gets its blocks once, one per fiber vertex and one per
+    minimal dominating set of the fiber graph, and a set is the OR of one
+    block per member.  Leaves are totally dominated, so their blocks are
+    single pairs, split once per base vertex into those with a non-universal
+    and with a universal fiber vertex; the leaf condition depends only on
+    which kind each leaf gets, and is tested once per such pattern of the
+    leaves it names rather than once per set (see :func:`_leaf_admissible`).
+    With a complete fiber graph no pattern passes, so a base set with a
+    redundant member is dropped at once.
 
     The canonical order is by size, then by ascending pairs, which is
     ascending flat indices, so :func:`graphs._sort_mirrored` gives it.  The
@@ -450,28 +440,37 @@ def enumerate_minimal_dominating_sets_product(
     base_n, fiber_n = base.n, fiber.n
     both = _mirrored(base_n * fiber_n)
     fiber_sets = [d.members for d in enumerate_minimal_dominating_sets(fiber, cap)]
-    universal_row = _universal_mask(fiber)
-    complete = universal_row == fiber.full_mask
-    universal = 0
-    for x in range(base_n):
-        universal |= universal_row << (x * fiber_n)
-    # (x, totally dominated) -> x's blocks, shared by every set that uses them
-    blocks: dict[tuple[int, bool], tuple[int, ...]] = {}
+    universal = _universal_mask(fiber)
+    complete = universal == fiber.full_mask
+    # per base vertex x: its blocks when totally dominated (one per fiber
+    # vertex) and when barely dominated (one per minimal dominating set)
+    singletons = [(h,) for h in range(fiber_n)]
+    pair_blocks = [_blocks(both, fiber_n, x, singletons) for x in range(base_n)]
+    set_blocks = [_blocks(both, fiber_n, x, fiber_sets) for x in range(base_n)]
+    # split[x]: x's single-pair blocks with a non-universal and a universal
+    # fiber vertex
+    split = [
+        (tuple(b for h, b in enumerate(row) if not universal >> h & 1),
+         tuple(b for h, b in enumerate(row) if universal >> h & 1))
+        for row in pair_blocks
+    ]
+    low = base.full_mask
     raw: list[int] = []
-    for p in enumerate_irreducible_dominating_sets(base, cap):
-        choice_lists = []
-        for x in p.members:
-            key = (x, bool(base.adj_mask(x) & p.mask))
-            if key not in blocks:
-                options = [(h,) for h in range(fiber_n)] if key[1] else fiber_sets
-                blocks[key] = _blocks(both, fiber_n, x, options)
-            choice_lists.append(blocks[key])
-        if universal:
-            combos = _leaf_admissible(base, p, choice_lists, universal, complete)
+    for _, dmask, _, tot, support in _irreducible_frames(base):
+        # the leaf condition binds only with a universal fiber vertex; a
+        # redundant member's mask has no low bit, and its high bits are its
+        # leaf neighbors
+        supports = [s >> base_n for s in support if not s & low] if universal else None
+        if supports and complete:
+            continue
+        totally = dmask & tot
+        choice_lists = [pair_blocks[x] if totally >> x & 1 else set_blocks[x]
+                        for x in _members(dmask)]
+        if supports:
+            for lists in _leaf_admissible(choice_lists, dmask, supports, split):
+                raw.extend(_concatenations(lists))
         else:
-            combos = [choice_lists]
-        for lists in combos:
-            raw.extend(_concatenations(lists))
+            raw.extend(_concatenations(choice_lists))
     _sort_mirrored(raw)
     return ProductSet._wrap_mirrored(base_n, fiber_n, raw)
 

@@ -300,6 +300,44 @@ class TestBoundedKWithoutK:
         assert captured.out == ""
         assert captured.err == "error: domination number is 2, not 3\n"
 
+    def test_k_past_the_reach_exits_on_the_cap(self, tmp_path, capsys):
+        # domination number 12: no cover within the auto dispatch's reach, so
+        # the cap is checked before any search past it
+        start = time.perf_counter()
+        assert self._run(tmp_path, random_graph(50, Random(2), 0.1), "--k", "13") == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph has 50 vertices, above the enumeration cap 24\n"
+
+    def test_k_past_a_small_domination_number_is_rejected_above_the_cap(
+        self, tmp_path, capsys
+    ):
+        three_k10 = disjoint_union(disjoint_union(complete_graph(10), complete_graph(10)),
+                                   complete_graph(10))
+        start = time.perf_counter()
+        assert self._run(tmp_path, three_k10, "--k", "5") == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: domination number is 3, not 5\n"
+
+    @pytest.mark.parametrize("graph, k", [
+        (cycle_graph(12), 4), (cycle_graph(12), 5), (path_graph(7), 4),
+        (random_graph(20, Random(6), 0.2), 5), (random_graph(20, Random(6), 0.2), 4),
+    ])
+    def test_k_past_the_reach_inside_the_cap_is_unchanged(self, graph, k, tmp_path, capsys):
+        try:
+            report = is_well_dominated_bounded_k(graph, k)
+        except ValueError as exc:
+            want = (2, "", f"error: {exc}\n")
+        else:
+            out = json.dumps(report.to_dict(), sort_keys=True) + "\n"
+            want = (0 if report.verdict else 1, out, "")
+        code = self._run(tmp_path, graph, "--k", str(k), "--json")
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == want
+
     def test_zero_vertex_graph(self, tmp_path, capsys):
         assert self._run(tmp_path, Graph(0)) == 2
         assert capsys.readouterr().err == "error: operation undefined on the zero-vertex graph\n"

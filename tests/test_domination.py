@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from domkit import bruteforce
 from domkit.domination import (
     EnumerationCapExceeded,
+    _irreducible_frames,
     _leaf_supports,
     _minimum_cover,
+    _redundant_mask,
     alpha,
     classify,
     enumerate_irreducible_dominating_sets,
@@ -29,8 +31,10 @@ from domkit.domination import (
 )
 from domkit.families import (
     complete_graph,
+    cycle_graph,
     edgeless_graph,
     nonisomorphic_graphs,
+    path_graph,
     random_graph,
     random_isolate_free_graph,
 )
@@ -313,6 +317,28 @@ class TestEnumerators:
     def test_irreducible_searches_deeper_than_the_recursion_limit(self):
         got = enumerate_irreducible_dominating_sets(edgeless_graph(1100), cap=1100)
         assert got == [VertexSet.from_mask(1100, (1 << 1100) - 1)]
+
+    def test_leaf_frames_carry_redundancy_leaves_and_total_domination(self):
+        # the product enumerator reads all three off the search's leaf frames
+        rng = Random(23)
+        cases = [path_graph(n) for n in range(1, 11)] + [cycle_graph(n) for n in range(3, 13)]
+        cases += [random_graph(rng.randint(2, 13), rng, rng.choice((0.15, 0.3, 0.5)))
+                  for _ in range(40)]
+        for g in cases:
+            n = g.n
+            low = g.full_mask
+            frames = list(_irreducible_frames(g))
+            masks = [frame[1] for frame in frames]
+            want = enumerate_irreducible_dominating_sets(g)
+            assert sorted(masks) == sorted(s.mask for s in want)
+            for i, dmask, _, tot, support in frames:
+                members = [u for u in range(n) if dmask >> u & 1]
+                assert i == n and len(support) == len(members)
+                redundant = [u for u, s in zip(members, support) if not s & low]
+                assert sum(1 << u for u in redundant) == _redundant_mask(g, dmask)
+                assert [s >> n for s in support if not s & low] == _leaf_supports(g, dmask)
+                totally = sum(1 << u for u in members if g.adj_mask(u) & dmask)
+                assert dmask & tot == totally
 
     def test_every_minimal_set_is_enumerated_as_irreducible(self):
         rng = Random(5)
