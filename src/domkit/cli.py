@@ -18,12 +18,9 @@ from pathlib import Path
 
 from .domination import (
     EnumerationCapExceeded,
-    _check_cap,
-    _minimum_cover,
     alpha,
     classify,
     enumerate_minimal_dominating_sets,
-    gamma,
     gamma_t,
     is_dominating,
     is_irreducible_dominating,
@@ -32,14 +29,14 @@ from .domination import (
     is_total_dominating,
 )
 
-# perfbench/tracer.py wraps gamma and upper_gamma in this module; upper_gamma
-# is no longer called here (``stats`` reads gamma and Gamma off one
-# enumeration), but stays imported so that the wrap still finds it
-from .domination import upper_gamma  # noqa: F401
+# perfbench/tracer.py wraps gamma and upper_gamma in this module; neither is
+# called here any more (``stats`` reads gamma and Gamma off one enumeration,
+# and the recognizers find the domination number themselves), but both stay
+# imported so that the wrap still finds them
+from .domination import gamma, upper_gamma  # noqa: F401
 from .graphs import Graph, GraphParseError, VertexSet, parse_graph, write_graph
 from .lexicographic import lex_product
 from .recognition import (
-    DEFAULT_BOUNDED_K_THRESHOLD,
     RecognitionReport,
     is_well_dominated_bounded_k,
     is_well_dominated_enum,
@@ -221,33 +218,12 @@ def _cmd_well_dominated(args) -> int:
     if args.method == "enum":
         report = is_well_dominated_enum(graph, args.cap)
     elif args.method == "gamma2":
-        report = is_well_dominated_gamma2(graph)
+        report = is_well_dominated_gamma2(graph, args.cap)
     elif args.method == "bounded-k":
-        report = _bounded_k(graph, args.k, args.cap)
+        report = is_well_dominated_bounded_k(graph, args.k, args.cap)
     else:
         report = recognize(graph, args.cap)
     return _print_recognition(report, args.json)
-
-
-def _bounded_k(graph: Graph, k: int | None, cap: int | None) -> RecognitionReport:
-    """``--method bounded-k``, with the domination number found when ``k`` is None.
-
-    Sizes up to the reach of ``recognize``'s search are searched first, on
-    graphs of any size.  A ``k`` within that reach is checked by a search of
-    sizes up to ``k``.  Otherwise a cover found there is handed over when
-    ``k`` is None, or rejects the larger ``k`` with the domination number.
-    A domination number past the reach needs a search whose cost grows with
-    it, which runs only within the cap.
-    """
-    reach = DEFAULT_BOUNDED_K_THRESHOLD
-    if k is not None and k <= reach:
-        return is_well_dominated_bounded_k(graph, k)
-    cover = _minimum_cover(graph, True, reach)
-    if cover is None:
-        _check_cap(graph.n, cap)
-    elif k is None:
-        return is_well_dominated_bounded_k(graph, cover.bit_count(), _cover=cover)
-    return is_well_dominated_bounded_k(graph, gamma(graph) if k is None else k)
 
 
 def _cmd_verify(args) -> int:

@@ -94,6 +94,24 @@ class RecognitionReport:
         }
 
 
+# the largest domination number searched on a graph of any size: up to it
+# the search is polynomial and the bounded-size test decides
+BOUNDED_K_REACH = 3
+
+
+def _domination_cover(graph: Graph, limit: int, cap: int | None) -> int | None:
+    """The mask of a minimum dominating set if one has at most ``limit`` vertices.
+
+    Sizes up to ``min(limit, BOUNDED_K_REACH)`` are searched on a graph of
+    any size; the cap is checked before any search past that reach.
+    """
+    cover = _minimum_cover(graph, True, min(limit, BOUNDED_K_REACH))
+    if cover is None and limit > BOUNDED_K_REACH:
+        _check_cap(graph.n, cap)
+        cover = _minimum_cover(graph, True, limit)
+    return cover
+
+
 def is_well_dominated_enum(graph: Graph, cap: int | None = None) -> RecognitionReport:
     """Decide by enumerating all minimal dominating sets."""
     _require_nonempty(graph)
@@ -130,7 +148,7 @@ def is_well_covered_alpha2(graph: Graph) -> bool:
     return not enumerate_triangles(comp)
 
 
-def is_well_dominated_gamma2(graph: Graph) -> RecognitionReport:
+def is_well_dominated_gamma2(graph: Graph, cap: int | None = None) -> RecognitionReport:
     """Polynomial test for "well-dominated with domination number two".
 
     Condition (a): the complement is triangle-free without isolated vertices,
@@ -138,7 +156,9 @@ def is_well_dominated_gamma2(graph: Graph) -> RecognitionReport:
     ordered pair of triangles (T, T2) of the graph whose union induces the
     complement of a 6-cycle, the set T together with the vertices outside
     N[T2] fails to dominate.  The pair scan is ordered because the tested set
-    uses T and T2 asymmetrically.
+    uses T and T2 asymmetrically.  A negative verdict reports the domination
+    number, found by :func:`_domination_cover`, so past ``BOUNDED_K_REACH``
+    it needs the graph within ``cap``.
     """
     _require_nonempty(graph)
     comp = complement(graph)
@@ -180,7 +200,7 @@ def is_well_dominated_gamma2(graph: Graph) -> RecognitionReport:
             verdict=True, method="gamma2", gamma=2, common_size=2, notes=notes
         )
 
-    minimum = minimum_dominating_set(graph)
+    minimum = VertexSet.from_mask(graph.n, _domination_cover(graph, graph.n, cap))
     small = large = None
     if len(minimum) == 2:
         small = minimum
@@ -204,30 +224,32 @@ def is_well_dominated_gamma2(graph: Graph) -> RecognitionReport:
 
 
 def is_well_dominated_bounded_k(
-    graph: Graph, k: int, *, _cover: int | None = None
+    graph: Graph, k: int | None = None, cap: int | None = None, *, _cover: int | None = None
 ) -> RecognitionReport:
     """Decide via transversal sizes of the closed-neighborhood hypergraph.
 
-    Requires the domination number to equal ``k`` (checked by a search of
-    sizes up to ``k`` only, so a larger one fails fast).  The graph is
-    well-dominated exactly when every minimal transversal of the reduced
-    closed-neighborhood hypergraph has size ``k``, which
-    ``all_minimal_transversals_have_size`` decides in polynomial time for
-    fixed ``k``; its oversized minimal transversal is the large witness.
+    Requires the domination number to equal ``k``; a missing ``k`` means the
+    domination number itself.  Either is found by :func:`_domination_cover`,
+    so a domination number past ``BOUNDED_K_REACH`` needs the graph within
+    ``cap``, and a ``k`` below it fails fast.  The graph is well-dominated
+    exactly when every minimal transversal of the reduced closed-neighborhood
+    hypergraph has size ``k``, which ``all_minimal_transversals_have_size``
+    decides in polynomial time for fixed ``k``; its oversized minimal
+    transversal is the large witness.
 
-    ``_cover`` is internal to :func:`recognize` and to the command line's
-    ``--method bounded-k``: the mask of the minimum dominating set their own
-    search found, taken as is instead of searched for again.  Passing it
-    here, rather than to a separate function, keeps every dispatch to this
-    recognizer a call of this function.
+    ``_cover`` is internal to :func:`recognize`: the mask of the minimum
+    dominating set its own search found, taken as is instead of searched for
+    again.  Passing it here, rather than to a separate function, keeps every
+    dispatch to this recognizer a call of this function.
     """
     _require_nonempty(graph)
     if _cover is None:
-        _cover = _minimum_cover(graph, True, k)
+        _cover = _domination_cover(graph, graph.n if k is None else k, cap)
         if _cover is None:
             raise ValueError(f"domination number is above {k}")
-        if _cover.bit_count() != k:
+        if k is not None and _cover.bit_count() != k:
             raise ValueError(f"domination number is {_cover.bit_count()}, not {k}")
+    k = _cover.bit_count()
     small = VertexSet.from_mask(graph.n, _cover)
     ok, deviant = all_minimal_transversals_have_size(neighborhood_hypergraph(graph), k)
     if ok:
@@ -244,34 +266,22 @@ def is_well_dominated_bounded_k(
     )
 
 
-# the largest domination number that ``recognize`` sends to the bounded-size
-# test by default
-DEFAULT_BOUNDED_K_THRESHOLD = 3
-
-
-def recognize(
-    graph: Graph,
-    cap: int | None = None,
-    bounded_k_threshold: int = DEFAULT_BOUNDED_K_THRESHOLD,
-) -> RecognitionReport:
+def recognize(graph: Graph, cap: int | None = None) -> RecognitionReport:
     """Dispatch to the cheapest applicable recognizer.
 
     Domination number two gets the triangle-pair test, domination numbers up
-    to ``bounded_k_threshold`` the transversal test, everything else plain
-    enumeration.  The domination number is searched only up to
-    ``max(2, bounded_k_threshold)``, in O(n^k) per size k; a larger one goes
-    straight to enumeration, whose cap check comes before any exponential
-    search.  All paths agree on the verdict.
+    to ``BOUNDED_K_REACH`` the transversal test, everything else plain
+    enumeration.  The domination number is searched only up to that reach,
+    in O(n^k) per size k; a larger one goes straight to enumeration, whose
+    cap check comes before any exponential search.  All paths agree on the
+    verdict.
     """
-    # the domination number is searched only as far as a polynomial
-    # recognizer reaches; above that the enumeration cap decides first
-    cover = _minimum_cover(graph, True, max(2, bounded_k_threshold))
-    gamma_val = None if cover is None else cover.bit_count()
-    if gamma_val == 2:
-        return is_well_dominated_gamma2(graph)
-    if gamma_val is not None and gamma_val <= bounded_k_threshold:
-        return is_well_dominated_bounded_k(graph, gamma_val, _cover=cover)
-    return is_well_dominated_enum(graph, cap)
+    cover = _domination_cover(graph, BOUNDED_K_REACH, cap)
+    if cover is None:
+        return is_well_dominated_enum(graph, cap)
+    if cover.bit_count() == 2:
+        return is_well_dominated_gamma2(graph, cap)
+    return is_well_dominated_bounded_k(graph, _cover=cover)
 
 
 def _lowest_universal(graph: Graph) -> int:

@@ -62,6 +62,7 @@ from .lexicographic import (
     upper_gamma_product_bound,
 )
 from .recognition import (
+    BOUNDED_K_REACH,
     is_well_covered_alpha2,
     is_well_dominated_bounded_k,
     is_well_dominated_enum,
@@ -404,7 +405,7 @@ def check_bounded_k_recognition(scale: Scale, rng: Random) -> CheckResult:
     while produced < scale.bounded_k_samples:
         g = random_graph(rng.randint(1, scale.recognition_random_max_n), rng)
         k = gamma(g)
-        if k > 3:
+        if k > BOUNDED_K_REACH:
             continue
         produced += 1
         instances += 1
@@ -428,7 +429,7 @@ def check_method_agreement(scale: Scale, rng: Random) -> CheckResult:
         if recognize(g).verdict != want:
             bad += 1
         k = gamma(g)
-        if k <= 3 and is_well_dominated_bounded_k(g, k).verdict != want:
+        if k <= BOUNDED_K_REACH and is_well_dominated_bounded_k(g, k).verdict != want:
             bad += 1
         if k == 2 and is_well_dominated_gamma2(g).verdict != want:
             bad += 1

@@ -12,11 +12,12 @@ import pytest
 
 import domkit
 import domkit.cli
+import domkit.recognition
 from domkit.cli import build_parser, main
 from domkit.domination import enumerate_minimal_dominating_sets, gamma, is_minimal_dominating
 from domkit.families import complete_graph, cycle_graph, disjoint_union, path_graph, random_graph
 from domkit.graphs import Graph, VertexSet, parse_graph, write_graph
-from domkit.recognition import is_well_dominated_bounded_k
+from domkit.recognition import BOUNDED_K_REACH, is_well_dominated_bounded_k
 
 
 @pytest.fixture()
@@ -211,17 +212,6 @@ class TestWellDominated:
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"] is True and data["method"] == "gamma2"
 
-    def test_large_domination_number_exits_on_the_cap_at_once(self, tmp_path, capsys):
-        # domination number 12: the dispatch stops searching it at three
-        path = tmp_path / "sparse.el"
-        path.write_text(write_graph(random_graph(50, Random(2), 0.1)))
-        start = time.perf_counter()
-        assert main(["well-dominated", str(path)]) == 2
-        assert time.perf_counter() - start < 1.0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: graph has 50 vertices, above the enumeration cap 24\n"
-
     def test_large_star_exits_with_a_verdict(self, tmp_path, capsys):
         # domination number one sends K_{1,1100} to the bounded-size test,
         # whose oversized witness holds all 1100 leaves
@@ -237,6 +227,64 @@ class TestWellDominated:
         large = VertexSet(star.n, data["witness_large"])
         assert (len(small), len(large)) == (1, 1100)
         assert is_minimal_dominating(star, small) and is_minimal_dominating(star, large)
+
+
+def _forbid_search_past_the_reach(monkeypatch):
+    """Make any domination number search past ``BOUNDED_K_REACH`` fail."""
+    search = domkit.recognition._minimum_cover
+
+    def within_reach(graph, closed, reach):
+        if reach > BOUNDED_K_REACH:
+            raise AssertionError("the exact domination number search ran")
+        return search(graph, closed, reach)
+
+    monkeypatch.setattr(domkit.recognition, "_minimum_cover", within_reach)
+
+
+_CAP_ERROR = "error: graph has 50 vertices, above the enumeration cap 24\n"
+
+
+class TestFailFast:
+    """Every exponential path on a sparse G(50, 0.1), domination number 12."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (["well-dominated", "--method", "auto"], _CAP_ERROR),
+        (["well-dominated", "--method", "enum"], _CAP_ERROR),
+        (["well-dominated", "--method", "gamma2"], _CAP_ERROR),
+        (["well-dominated", "--method", "bounded-k"], _CAP_ERROR),
+        # the check searches sizes up to --k only
+        (["well-dominated", "--method", "bounded-k", "--k", "3"],
+         "error: domination number is above 3\n"),
+        # no cover within the reach, so the cap is checked before any search past it
+        (["well-dominated", "--method", "bounded-k", "--k", "13"], _CAP_ERROR),
+        (["stats"], _CAP_ERROR),
+        (["enumerate-mds"], _CAP_ERROR),
+    ], ids=["auto", "enum", "gamma2", "bounded-k", "bounded-k-k3", "bounded-k-k13",
+            "stats", "enumerate-mds"])
+    def test_large_domination_number_exits_at_once(
+        self, argv, err, tmp_path, monkeypatch, capsys
+    ):
+        _forbid_search_past_the_reach(monkeypatch)
+        path = tmp_path / "sparse.el"
+        path.write_text(write_graph(random_graph(50, Random(2), 0.1)))
+        start = time.perf_counter()
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+
+    def test_gamma2_answers_a_small_domination_number_past_the_cap(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # three disjoint K_{1,8}: triangle-free, domination number 3, 27 vertices
+        _forbid_search_past_the_reach(monkeypatch)
+        star = Graph(9, [(0, i) for i in range(1, 9)])
+        path = tmp_path / "stars.el"
+        path.write_text(write_graph(disjoint_union(disjoint_union(star, star), star)))
+        assert main(["well-dominated", str(path), "--method", "gamma2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "verdict: not well-dominated\nmethod: gamma2\ngamma: 3\n"
 
 
 class TestBoundedKWithoutK:
@@ -260,10 +308,7 @@ class TestBoundedKWithoutK:
     def test_small_domination_number_answers_above_the_cap(
         self, tmp_path, monkeypatch, capsys
     ):
-        def exact_search(graph):
-            raise AssertionError("the exact domination number search ran")
-
-        monkeypatch.setattr(domkit.cli, "gamma", exact_search)
+        _forbid_search_past_the_reach(monkeypatch)
         three_k10 = disjoint_union(disjoint_union(complete_graph(10), complete_graph(10)),
                                    complete_graph(10))
         assert self._run(tmp_path, three_k10) == 0
@@ -273,42 +318,11 @@ class TestBoundedKWithoutK:
             "verdict: well-dominated\nmethod: bounded_k\ngamma: 3\ncommon size: 3\n"
         )
 
-    def test_large_domination_number_exits_on_the_cap(self, tmp_path, monkeypatch, capsys):
-        def exact_search(graph):
-            raise AssertionError("the exact domination number search ran")
-
-        monkeypatch.setattr(domkit.cli, "gamma", exact_search)
-        start = time.perf_counter()
-        assert self._run(tmp_path, random_graph(50, Random(2), 0.1)) == 2
-        assert time.perf_counter() - start < 1.0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: graph has 50 vertices, above the enumeration cap 24\n"
-
-    def test_k_below_the_domination_number_exits_at_once(self, tmp_path, capsys):
-        # domination number 12: the check searches sizes up to --k only
-        start = time.perf_counter()
-        assert self._run(tmp_path, random_graph(50, Random(2), 0.1), "--k", "3") == 2
-        assert time.perf_counter() - start < 1.0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: domination number is above 3\n"
-
     def test_k_above_the_domination_number_is_rejected(self, tmp_path, capsys):
         assert self._run(tmp_path, path_graph(5), "--k", "3") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: domination number is 2, not 3\n"
-
-    def test_k_past_the_reach_exits_on_the_cap(self, tmp_path, capsys):
-        # domination number 12: no cover within the auto dispatch's reach, so
-        # the cap is checked before any search past it
-        start = time.perf_counter()
-        assert self._run(tmp_path, random_graph(50, Random(2), 0.1), "--k", "13") == 2
-        assert time.perf_counter() - start < 1.0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: graph has 50 vertices, above the enumeration cap 24\n"
 
     def test_k_past_a_small_domination_number_is_rejected_above_the_cap(
         self, tmp_path, capsys

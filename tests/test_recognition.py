@@ -23,6 +23,7 @@ from domkit.families import (
 from domkit.graphs import Graph
 from domkit.lexicographic import lex_product
 from domkit.recognition import (
+    BOUNDED_K_REACH,
     is_well_covered_alpha2,
     is_well_dominated_bounded_k,
     is_well_dominated_enum,
@@ -77,6 +78,13 @@ class TestGamma2Method:
         assert report.witness_large.members == (0, 2, 4)
         assert is_minimal_dominating(prism, report.witness_small)
         assert is_minimal_dominating(prism, report.witness_large)
+
+    def test_negative_branch_checks_the_cap_past_the_reach(self):
+        c25 = cycle_graph(25)
+        with pytest.raises(EnumerationCapExceeded):
+            is_well_dominated_gamma2(c25)
+        report = is_well_dominated_gamma2(c25, cap=25)
+        assert not report.verdict and report.gamma == 9
 
     def test_agreement_with_enumeration_on_gamma2_graphs(self):
         rng = Random(21)
@@ -140,14 +148,12 @@ class TestDispatch:
         assert recognize(k3).method == "bounded_k" and recognize(k3).verdict
         assert not recognize(p5).verdict
 
-    def test_threshold_moves_only_the_bounded_size_test(self, c4, k3):
-        c10 = cycle_graph(10)
-        assert recognize(c10).method == "enumeration"
-        assert recognize(c10, bounded_k_threshold=4).method == "bounded_k"
-        # domination number two keeps the triangle-pair test below the threshold
-        assert recognize(c4, bounded_k_threshold=0).method == "gamma2"
-        assert recognize(k3, bounded_k_threshold=0).method == "enumeration"
-        assert recognize(k3, bounded_k_threshold=1).method == "bounded_k"
+    def test_reach_sends_domination_numbers_up_to_it_to_the_bounded_size_test(self, c4, k3):
+        assert BOUNDED_K_REACH == 3
+        assert recognize(k3).method == "bounded_k"
+        assert recognize(c4).method == "gamma2"
+        assert recognize(cycle_graph(9)).method == "bounded_k"
+        assert recognize(cycle_graph(10)).method == "enumeration"
 
     def test_large_domination_number_meets_the_cap_first(self):
         sparse = random_graph(50, Random(2), 0.1)
