@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .domination import (
     EnumerationCapExceeded,
+    _dominating_size_range,
     alpha,
     classify,
     enumerate_minimal_dominating_sets,
@@ -30,7 +31,7 @@ from .domination import (
 )
 
 # perfbench/tracer.py wraps gamma and upper_gamma in this module; neither is
-# called here any more (``stats`` reads gamma and Gamma off one enumeration,
+# called here any more (``stats`` reads gamma and Gamma off one size search,
 # and the recognizers find the domination number themselves), but both stay
 # imported so that the wrap still finds them
 from .domination import gamma, upper_gamma  # noqa: F401
@@ -64,13 +65,22 @@ def _fmt_set(s: VertexSet) -> str:
     return " ".join(str(v) for v in s.members) if len(s) else "(empty)"
 
 
+def _size_arg(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _cmd_stats(args) -> int:
     graph = _load_graph(args.graph)
     # first, so that a graph above the cap fails before the exact searches;
-    # canonical order is by size, so the first set is a minimum one and the
-    # last a largest one
-    sets = enumerate_minimal_dominating_sets(graph, args.cap)
-    g_val, ug_val = len(sets[0]), len(sets[-1])
+    # one size search gives both gamma and Gamma and lists no sets
+    g_val, ug_val = _dominating_size_range(graph, args.cap)
     try:
         gt_val: int | None = gamma_t(graph)
     except ValueError:
@@ -304,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recognize the lexicographic product of two factor graphs")
     p.add_argument("--method", choices=("auto", "enum", "gamma2", "bounded-k"),
                    default="auto")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_size_arg, default=None,
                    help="size for --method bounded-k (default: the domination number)")
     add_common(p)
     p.set_defaults(func=_cmd_well_dominated)

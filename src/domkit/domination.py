@@ -320,13 +320,27 @@ def enumerate_minimal_dominating_sets(
     return hypergraphs.enumerate_minimal_transversals(neighborhood_hypergraph(graph))
 
 
+def _dominating_size_range(graph: Graph, cap: int | None = None) -> tuple[int, int]:
+    """The domination number and the upper domination number, from one search.
+
+    The sizes of the smallest and the largest minimal dominating set, read
+    off the minimal transversals of the closed-neighborhood hypergraph by
+    :func:`hypergraphs._transversal_size_range`, which lists no sets.  The
+    cap is checked before the search.
+    """
+    _require_nonempty(graph)
+    _check_cap(graph.n, cap)
+    return hypergraphs._transversal_size_range(neighborhood_hypergraph(graph))
+
+
 def upper_gamma(graph: Graph, cap: int | None = None) -> int:
     """Upper domination number: the largest size of a minimal dominating set.
 
-    The enumeration is in canonical order, by size first, so the largest
-    set is the last one.  Its cap check comes before any search.
+    Found by a size search over the minimal dominating sets that lists none
+    of them (see :func:`_dominating_size_range`); like enumeration, it needs
+    the graph within ``cap``, checked before any search.
     """
-    return len(enumerate_minimal_dominating_sets(graph, cap)[-1])
+    return _dominating_size_range(graph, cap)[1]
 
 
 def _irreducible_frames(graph: Graph) -> Iterator[tuple]:

@@ -4,7 +4,8 @@ This is the enumeration backend for minimal dominating sets (via the closed
 neighborhood hypergraph) and for the bounded-size recognition of graphs whose
 minimal dominating sets all share one size.  Enumeration is the depth-first
 MMCS search of Murakami and Uno (Discrete Appl. Math., 2014), which builds no
-intermediate families.
+intermediate families.  The same search, cut by size bounds, finds the
+smallest and the largest minimal transversal size without listing the sets.
 
 The fixed-size decision "every minimal transversal has size k" avoids
 enumeration and is polynomial for fixed k.  A depth-first search of depth at
@@ -128,6 +129,12 @@ def _edge_incidence(n: int, edges: list[int] | tuple[int, ...]) -> list[int]:
     return incidence
 
 
+def _mmcs_edges(h: Hypergraph) -> tuple[list[int], list[int]]:
+    """The distinct edges in the order the MMCS search indexes them, and their incidence."""
+    edges = sorted(set(h.edge_masks))
+    return edges, _edge_incidence(h.n, edges)
+
+
 def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
     """All minimal transversals, canonically ordered.
 
@@ -144,8 +151,7 @@ def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
     n = h.n
     full = (1 << n) - 1
     both = _mirrored(n)
-    edges = sorted(set(h.edge_masks))
-    incidence = _edge_incidence(n, edges)
+    edges, incidence = _mmcs_edges(h)
     found = []
     # frame: the mirrored set, each member's critical edges, uncovered edges,
     # candidates
@@ -178,6 +184,58 @@ def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
             cand |= low
     _sort_mirrored(found)
     return VertexSet._wrap(n, found)
+
+
+def _transversal_size_range(h: Hypergraph) -> tuple[int, int]:
+    """The smallest and the largest size of a minimal transversal.
+
+    Walks the tree of :func:`enumerate_minimal_transversals`, with its branch
+    edge and its critical-edge child rule, but keeps only the two sizes, and
+    cuts a node that can improve neither.  A completion adds at least one
+    vertex, so a node of size s with s + 1 >= lo finds no new minimum; each
+    vertex it adds keeps a critical edge of its own among the node's
+    uncovered edges, so with s + |uncovered| <= hi it finds no new maximum.
+    A hypergraph without edges gives (0, 0).
+    """
+    n = h.n
+    edges, incidence = _mmcs_edges(h)
+    # no leaf yet: every bound below passes
+    lo, hi = n + 1, -1
+    # frame: the set's size, each member's critical edges, uncovered edges,
+    # candidates
+    stack = [(0, [], (1 << len(edges)) - 1, (1 << n) - 1)]
+    while stack:
+        size, crit, uncov, cand = stack.pop()
+        if not uncov:
+            if size < lo:
+                lo = size
+            if size > hi:
+                hi = size
+            continue
+        if size + 1 >= lo and size + uncov.bit_count() <= hi:
+            continue
+        branch, fewest, rest = 0, n + 1, uncov
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            e = edges[low.bit_length() - 1] & cand
+            count = e.bit_count()
+            if count < fewest:
+                branch, fewest = e, count
+                if not count:
+                    break
+        cand &= ~branch
+        size += 1
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            hit = incidence[low.bit_length() - 1]
+            kept = [c & ~hit for c in crit]
+            if 0 not in kept:
+                kept.append(uncov & hit)
+                stack.append((size, kept, uncov & ~hit, cand))
+            cand |= low
+    return lo, hi
 
 
 def minimal_transversals_up_to_size(h: Hypergraph, k: int) -> list[VertexSet]:

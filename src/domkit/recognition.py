@@ -228,20 +228,22 @@ def is_well_dominated_bounded_k(
 ) -> RecognitionReport:
     """Decide via transversal sizes of the closed-neighborhood hypergraph.
 
-    Requires the domination number to equal ``k``; a missing ``k`` means the
-    domination number itself.  Either is found by :func:`_domination_cover`,
-    so a domination number past ``BOUNDED_K_REACH`` needs the graph within
-    ``cap``, and a ``k`` below it fails fast.  The graph is well-dominated
-    exactly when every minimal transversal of the reduced closed-neighborhood
-    hypergraph has size ``k``, which ``all_minimal_transversals_have_size``
-    decides in polynomial time for fixed ``k``; its oversized minimal
-    transversal is the large witness.
+    Requires the domination number to equal ``k``, which must be at least 1;
+    a missing ``k`` means the domination number itself.  Either is found by
+    :func:`_domination_cover`, so a domination number past
+    ``BOUNDED_K_REACH`` needs the graph within ``cap``, and a ``k`` below it
+    fails fast.  The graph is well-dominated exactly when every minimal
+    transversal of the reduced closed-neighborhood hypergraph has size ``k``,
+    which ``all_minimal_transversals_have_size`` decides in polynomial time
+    for fixed ``k``; its oversized minimal transversal is the large witness.
 
     ``_cover`` is internal to :func:`recognize`: the mask of the minimum
     dominating set its own search found, taken as is instead of searched for
     again.  Passing it here, rather than to a separate function, keeps every
     dispatch to this recognizer a call of this function.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, not {k}")
     _require_nonempty(graph)
     if _cover is None:
         _cover = _domination_cover(graph, graph.n if k is None else k, cap)

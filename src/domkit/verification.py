@@ -45,6 +45,7 @@ from .families import (
 from .graphs import Graph, VertexSet, complement, induces_c6_complement, iter_bits
 from .hypergraphs import (
     Hypergraph,
+    _transversal_size_range,
     all_minimal_transversals_have_size,
     enumerate_minimal_transversals,
     is_minimal_transversal,
@@ -438,7 +439,7 @@ def check_method_agreement(scale: Scale, rng: Random) -> CheckResult:
 
 def check_transversal_machinery(scale: Scale, rng: Random) -> CheckResult:
     """Transversal enumeration against subset brute force, the self-duality
-    involution, and the fixed-size decision."""
+    involution, the size-range search, and the fixed-size decision."""
     bad = 0
     instances = 0
     first_failure = ""
@@ -457,6 +458,8 @@ def check_transversal_machinery(scale: Scale, rng: Random) -> CheckResult:
         if Hypergraph(n, enumerate_minimal_transversals(dual)) != h:
             bad += 1
         sizes = {len(x) for x in fast}
+        if _transversal_size_range(h) != (min(sizes), max(sizes)):
+            bad += 1
         for k in sorted(sizes | {min(sizes) + 1}):
             ok, witness = all_minimal_transversals_have_size(h, k)
             if ok != (sizes == {k}):

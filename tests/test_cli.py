@@ -12,6 +12,7 @@ import pytest
 
 import domkit
 import domkit.cli
+import domkit.hypergraphs
 import domkit.recognition
 from domkit.cli import build_parser, main
 from domkit.domination import enumerate_minimal_dominating_sets, gamma, is_minimal_dominating
@@ -76,11 +77,12 @@ class TestStats:
         )
 
     def test_cap_error_comes_before_the_exact_searches(self, tmp_path, monkeypatch, capsys):
-        def exact_search(graph):
+        def exact_search(*args):
             raise AssertionError("an exact search ran before the cap check")
 
         for name in ("gamma", "gamma_t", "alpha"):
             monkeypatch.setattr(domkit.cli, name, exact_search)
+        monkeypatch.setattr(domkit.hypergraphs, "_transversal_size_range", exact_search)
         path = tmp_path / "c25.el"
         path.write_text(write_graph(cycle_graph(25)))
         assert main(["stats", str(path)]) == 2
@@ -89,12 +91,16 @@ class TestStats:
         assert captured.err == "error: graph has 25 vertices, above the enumeration cap 24\n"
 
 
-    def test_gamma_and_upper_gamma_come_from_one_enumeration(self, p5_file, monkeypatch, capsys):
+    def test_gamma_and_upper_gamma_come_from_one_search(self, p5_file, monkeypatch, capsys):
         def exact_search(*args):
             raise AssertionError("stats ran a second search")
 
+        def enumeration(*args):
+            raise AssertionError("stats listed the minimal dominating sets")
+
         for name in ("gamma", "upper_gamma"):
             monkeypatch.setattr(domkit.cli, name, exact_search)
+        monkeypatch.setattr(domkit.cli, "enumerate_minimal_dominating_sets", enumeration)
         assert main(["stats", p5_file]) == 0
         assert capsys.readouterr().out == "n=5 m=4 gamma=2 gamma_t=3 Gamma=3 alpha=3\n"
         assert main(["stats", p5_file, "--json"]) == 0
@@ -285,6 +291,35 @@ class TestFailFast:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out == "verdict: not well-dominated\nmethod: gamma2\ngamma: 3\n"
+
+
+class TestKBelowOne:
+    """``--k`` below 1 is a usage error, raised while the arguments are parsed."""
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("graph", [path_graph(3), random_graph(50, Random(2), 0.1)],
+                             ids=["P3", "sparse-G50"])
+    def test_rejected_before_the_graph_is_read(self, graph, k, tmp_path, monkeypatch, capsys):
+        def load(path):
+            raise AssertionError("the graph was read")
+
+        monkeypatch.setattr(domkit.cli, "_load_graph", load)
+        path = tmp_path / "g.el"
+        path.write_text(write_graph(graph))
+        start = time.perf_counter()
+        assert main(["well-dominated", str(path), "--method", "bounded-k", "--k", k]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"domkit well-dominated: error: argument --k: must be at least 1, not {k}\n"
+        )
+
+    def test_a_non_integer_keeps_its_message(self, p5_file, capsys):
+        assert main(["well-dominated", p5_file, "--k", "two"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --k: invalid int value: 'two'\n"
+        )
 
 
 class TestBoundedKWithoutK:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from domkit import bruteforce
 from domkit.domination import (
     EnumerationCapExceeded,
+    _dominating_size_range,
     _irreducible_frames,
     _leaf_supports,
     _minimum_cover,
@@ -32,6 +33,7 @@ from domkit.domination import (
 from domkit.families import (
     complete_graph,
     cycle_graph,
+    disjoint_union,
     edgeless_graph,
     nonisomorphic_graphs,
     path_graph,
@@ -256,6 +258,46 @@ class TestParameters:
     def test_parameter_order(self, g):
         assert gamma(g) <= upper_gamma(g)
         assert gamma(g) <= alpha(g)
+
+
+def _grid(rows, cols):
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, right + down)
+
+
+class TestSizeRange:
+    """gamma and Gamma from one size search, without listing the sets."""
+
+    def test_matches_brute_force_on_the_catalogue(self):
+        for n in range(1, 8):
+            for g in nonisomorphic_graphs(n):
+                assert _dominating_size_range(g) == (bruteforce.gamma(g), bruteforce.upper_gamma(g))
+
+    def test_matches_brute_force_on_random_graphs(self):
+        rng = Random(31)
+        for _ in range(60):
+            g = random_graph(rng.randint(8, 12), rng, rng.choice((0.1, 0.2, 0.3, 0.5, 0.7)))
+            assert _dominating_size_range(g) == (bruteforce.gamma(g), bruteforce.upper_gamma(g))
+
+    def test_matches_enumeration_up_to_the_cap(self):
+        twelve_k2 = Graph(24, [(2 * i, 2 * i + 1) for i in range(12)])
+        rng = Random(32)
+        cases = [cycle_graph(24), path_graph(24), twelve_k2, _grid(4, 6),
+                 random_graph(24, Random(0), 0.07), disjoint_union(cycle_graph(7), path_graph(10))]
+        cases += [random_graph(rng.randint(16, 24), rng, rng.choice((0.07, 0.12, 0.2, 0.3, 0.5)))
+                  for _ in range(12)]
+        for g in cases:
+            sets = enumerate_minimal_dominating_sets(g)
+            assert _dominating_size_range(g) == (len(sets[0]), len(sets[-1]))
+            assert upper_gamma(g) == len(sets[-1])
+
+    def test_zero_vertex_error_comes_before_the_cap_error(self):
+        for search in (_dominating_size_range, upper_gamma):
+            with pytest.raises(ValueError, match="zero-vertex"):
+                search(Graph(0), -1)
+            with pytest.raises(EnumerationCapExceeded):
+                search(path_graph(5), 4)
 
 
 class TestEnumerators:

@@ -26,6 +26,7 @@ from domkit.hypergraphs import (
     Hypergraph,
     _edge_incidence,
     _hitting_set,
+    _transversal_size_range,
     all_minimal_transversals_have_size,
     enumerate_minimal_transversals,
     is_minimal_transversal,
@@ -150,6 +151,22 @@ class TestEnumeration:
         reduced = sperner_reduce(h)
         dual = Hypergraph(h.n, enumerate_minimal_transversals(reduced))
         assert Hypergraph(h.n, enumerate_minimal_transversals(dual)) == reduced
+
+
+class TestSizeRange:
+    def test_edgeless_hypergraphs(self):
+        for n in (0, 2):
+            assert _transversal_size_range(Hypergraph(n, [])) == (0, 0)
+
+    @given(hypergraphs_strategy())
+    @settings(max_examples=150)
+    def test_matches_brute_force(self, h):
+        sizes = [len(x) for x in bruteforce.minimal_transversals(h)]
+        assert _transversal_size_range(h) == (min(sizes), max(sizes))
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        h = Hypergraph(1100, [[v] for v in range(1100)])
+        assert _transversal_size_range(h) == (1100, 1100)
 
 
 class TestBoundedSize:

@@ -118,6 +118,12 @@ class TestBoundedKMethod:
         with pytest.raises(ValueError, match="domination number"):
             is_well_dominated_bounded_k(p5, 3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        for g in (path_graph(3), random_graph(50, Random(2), 0.1)):
+            with pytest.raises(ValueError, match=f"^k must be at least 1, not {k}$"):
+                is_well_dominated_bounded_k(g, k)
+
     def test_three_cliques_past_the_cap(self):
         three_k10 = disjoint_union(
             complete_graph(10), disjoint_union(complete_graph(10), complete_graph(10))
