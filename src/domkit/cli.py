@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--json", action="store_true", help="structured output")
-        p.add_argument("--cap", type=int, default=None, help="enumeration vertex cap (default 24)")
+        p.add_argument("--cap", type=_size_arg, default=None,
+                       help="enumeration vertex cap (default 24)")
 
     p = sub.add_parser("stats", help="domination parameters of a graph")
     p.add_argument("graph", help="edge-list file")

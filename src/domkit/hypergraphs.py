@@ -4,8 +4,10 @@ This is the enumeration backend for minimal dominating sets (via the closed
 neighborhood hypergraph) and for the bounded-size recognition of graphs whose
 minimal dominating sets all share one size.  Enumeration is the depth-first
 MMCS search of Murakami and Uno (Discrete Appl. Math., 2014), which builds no
-intermediate families.  The same search, cut by size bounds, finds the
-smallest and the largest minimal transversal size without listing the sets.
+intermediate families.  One walker (``_mmcs``), cut by size bounds, also
+finds the smallest and the largest minimal transversal size without listing
+the sets, and lists the minimal transversals of at most k vertices with a
+search of depth at most k, polynomial for fixed k.
 
 The fixed-size decision "every minimal transversal has size k" avoids
 enumeration and is polynomial for fixed k.  A depth-first search of depth at
@@ -24,8 +26,7 @@ removal pass.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graphs import (
     GraphParseError,
@@ -129,47 +130,51 @@ def _edge_incidence(n: int, edges: list[int] | tuple[int, ...]) -> list[int]:
     return incidence
 
 
-def _mmcs_edges(h: Hypergraph) -> tuple[list[int], list[int]]:
-    """The distinct edges in the order the MMCS search indexes them, and their incidence."""
-    edges = sorted(set(h.edge_masks))
-    return edges, _edge_incidence(h.n, edges)
+def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
+    """The minimal transversals of ``h`` as mirrored keys, in search order.
 
+    MMCS with an explicit stack over the distinct edges in ascending mask
+    order: branch on the first uncovered edge with the fewest candidates; the
+    child that adds v may later add only the vertices of that edge tried
+    before v, so each transversal is reached once.  A child is skipped when a
+    member would lose its last critical edge (one that it alone hits), which
+    no superset regains.
 
-def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
-    """All minimal transversals, canonically ordered.
-
-    MMCS with an explicit stack: branch on the first uncovered edge, in edge
-    order, with the fewest candidates; the child that adds v may later add
-    only the vertices of that edge tried before v, so each transversal is
-    reached once.  A child is skipped when a member would lose its last
-    critical edge (one that it alone hits), which no superset regains.
+    ``bounds`` is ``[lo, hi]``, read at every node, so a caller may move it
+    between leaves.  A node of size s is cut when s + 1 >= lo and
+    s + |uncovered| <= hi, since every leaf below it then has a size in
+    [lo, hi]: a completion adds at least one vertex, and each vertex it adds
+    keeps a critical edge of its own among the node's uncovered edges.  With
+    lo > n and hi < 0 nothing is cut.
 
     A frame holds its set as a mirrored key (see :func:`graphs._mirrored`),
-    so the found sets are put in canonical order by
-    :func:`graphs._sort_mirrored` and wrapped without a key tuple per set.
+    so callers put the keys in canonical order with
+    :func:`graphs._sort_mirrored` and wrap them without a key tuple per set.
     """
     n = h.n
-    full = (1 << n) - 1
     both = _mirrored(n)
-    edges, incidence = _mmcs_edges(h)
-    found = []
+    edges = sorted(set(h.edge_masks))
+    incidence = _edge_incidence(n, edges)
     # frame: the mirrored set, each member's critical edges, uncovered edges,
     # candidates
-    stack = [(0, [], (1 << len(edges)) - 1, full)]
+    stack = [(0, [], (1 << len(edges)) - 1, (1 << n) - 1)]
     while stack:
         chosen, crit, uncov, cand = stack.pop()
         if not uncov:
-            found.append(chosen)
+            yield chosen
+            continue
+        size = len(crit)
+        if size + 1 >= bounds[0] and size + uncov.bit_count() <= bounds[1]:
             continue
         branch, fewest, rest = 0, n + 1, uncov
         while rest:
             low = rest & -rest
             rest ^= low
             e = edges[low.bit_length() - 1] & cand
-            size = e.bit_count()
-            if size < fewest:
-                branch, fewest = e, size
-                if not size:  # a dead end: no vertex can cover this edge
+            count = e.bit_count()
+            if count < fewest:
+                branch, fewest = e, count
+                if not count:  # a dead end: no vertex can cover this edge
                     break
         cand &= ~branch
         while branch:
@@ -182,73 +187,45 @@ def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
                 kept.append(uncov & hit)
                 stack.append((chosen | both[v], kept, uncov & ~hit, cand))
             cand |= low
+
+
+def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
+    """All minimal transversals, canonically ordered: :func:`_mmcs` with no cut."""
+    found = list(_mmcs(h, [h.n + 1, -1]))
     _sort_mirrored(found)
-    return VertexSet._wrap(n, found)
+    return VertexSet._wrap(h.n, found)
 
 
 def _transversal_size_range(h: Hypergraph) -> tuple[int, int]:
     """The smallest and the largest size of a minimal transversal.
 
-    Walks the tree of :func:`enumerate_minimal_transversals`, with its branch
-    edge and its critical-edge child rule, but keeps only the two sizes, and
-    cuts a node that can improve neither.  A completion adds at least one
-    vertex, so a node of size s with s + 1 >= lo finds no new minimum; each
-    vertex it adds keeps a critical edge of its own among the node's
-    uncovered edges, so with s + |uncovered| <= hi it finds no new maximum.
-    A hypergraph without edges gives (0, 0).
+    Walks :func:`_mmcs` with its bounds at the smallest and the largest size
+    found so far, so that a node that can improve neither is cut, and lists
+    no sets.  A hypergraph without edges gives (0, 0).
     """
-    n = h.n
-    edges, incidence = _mmcs_edges(h)
-    # no leaf yet: every bound below passes
-    lo, hi = n + 1, -1
-    # frame: the set's size, each member's critical edges, uncovered edges,
-    # candidates
-    stack = [(0, [], (1 << len(edges)) - 1, (1 << n) - 1)]
-    while stack:
-        size, crit, uncov, cand = stack.pop()
-        if not uncov:
-            if size < lo:
-                lo = size
-            if size > hi:
-                hi = size
-            continue
-        if size + 1 >= lo and size + uncov.bit_count() <= hi:
-            continue
-        branch, fewest, rest = 0, n + 1, uncov
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            e = edges[low.bit_length() - 1] & cand
-            count = e.bit_count()
-            if count < fewest:
-                branch, fewest = e, count
-                if not count:
-                    break
-        cand &= ~branch
-        size += 1
-        while branch:
-            low = branch & -branch
-            branch ^= low
-            hit = incidence[low.bit_length() - 1]
-            kept = [c & ~hit for c in crit]
-            if 0 not in kept:
-                kept.append(uncov & hit)
-                stack.append((size, kept, uncov & ~hit, cand))
-            cand |= low
-    return lo, hi
+    # no leaf yet: nothing is cut
+    bounds = [h.n + 1, -1]
+    for key in _mmcs(h, bounds):
+        size = key.bit_count() >> 1  # a mirrored key holds each member twice
+        if size < bounds[0]:
+            bounds[0] = size
+        if size > bounds[1]:
+            bounds[1] = size
+    return bounds[0], bounds[1]
 
 
 def minimal_transversals_up_to_size(h: Hypergraph, k: int) -> list[VertexSet]:
-    """Minimal transversals of size <= k, by exhaustive scan over small subsets."""
+    """Minimal transversals of size <= k, canonically ordered.
+
+    :func:`_mmcs` with bounds [k + 1, n + m], which cuts every node of size
+    k that is not a transversal, so the search has depth at most k and visits
+    O(n^k) nodes: polynomial for fixed k.
+    """
     if k < 0:
         raise ValueError("size bound must be non-negative")
-    out = []
-    for size in range(0, min(k, h.n) + 1):
-        for combo in itertools.combinations(range(h.n), size):
-            x = VertexSet(h.n, combo)
-            if is_minimal_transversal(h, x):
-                out.append(x)
-    return out
+    found = list(_mmcs(h, [k + 1, h.n + len(h.hyperedges)]))
+    _sort_mirrored(found)
+    return VertexSet._wrap(h.n, found)
 
 
 def _hitting_set(edges: list[int] | tuple[int, ...], incidence: list[int],

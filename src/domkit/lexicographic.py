@@ -49,14 +49,18 @@ from .domination import (
 from .domination import enumerate_irreducible_dominating_sets  # noqa: F401
 
 
+def _require_factors(base: Graph, fiber: Graph) -> None:
+    if base.n == 0 or fiber.n == 0:
+        raise ValueError("both factors must have at least one vertex")
+
+
 class ProductGraph:
     """A lexicographic product together with its flattened realization."""
 
     __slots__ = ("base", "fiber", "graph")
 
     def __init__(self, base: Graph, fiber: Graph):
-        if base.n == 0 or fiber.n == 0:
-            raise ValueError("both factors must have at least one vertex")
+        _require_factors(base, fiber)
         nh = fiber.n
         edges = []
         for gu, gv in base.edges:
@@ -432,8 +436,7 @@ def enumerate_minimal_dominating_sets_product(
     The cap guards the factor sizes, not the flattened size, so products far
     beyond the flattened enumeration range stay reachable.
     """
-    if base.n == 0 or fiber.n == 0:
-        raise ValueError("both factors must have at least one vertex")
+    _require_factors(base, fiber)
     _check_cap(base.n, cap)
     _check_cap(fiber.n, cap)
 
@@ -485,8 +488,7 @@ def gamma_product(base: Graph, fiber: Graph) -> int:
     domination number per isolated vertex.  Equals the domination number of
     the flattened product.
     """
-    if base.n == 0 or fiber.n == 0:
-        raise ValueError("both factors must have at least one vertex")
+    _require_factors(base, fiber)
     return _gamma_product(base, fiber, gamma(fiber))
 
 

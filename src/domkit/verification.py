@@ -100,7 +100,6 @@ class Scale:
     bounded_k_samples: int
     sperner_samples: int
     disconnected_products: int
-    gap_clique_sizes: tuple[int, ...]
     subsets_family_max: int
     prism_induction_samples: int
 
@@ -119,7 +118,6 @@ SCALES = {
         bounded_k_samples=60,
         sperner_samples=60,
         disconnected_products=10,
-        gap_clique_sizes=(4, 5),
         subsets_family_max=5,
         prism_induction_samples=150,
     ),
@@ -136,11 +134,14 @@ SCALES = {
         bounded_k_samples=300,
         sperner_samples=300,
         disconnected_products=50,
-        gap_clique_sizes=(4, 5),
         subsets_family_max=6,
         prism_induction_samples=500,
     ),
 }
+
+
+# clique sizes of the upper domination gap check, the same at every scale
+GAP_CLIQUE_SIZES = (4, 5)
 
 
 def _family_up_to(n_max: int) -> list[Graph]:
@@ -285,7 +286,7 @@ def check_upper_domination_gap(scale: Scale, rng: Random) -> CheckResult:
     bad = 0
     instances = 0
     details = []
-    for k in scale.gap_clique_sizes:
+    for k in GAP_CLIQUE_SIZES:
         instances += 1
         g = two_cliques_with_matching(k)
         h = cycle_graph(4)

@@ -322,6 +322,32 @@ class TestKBelowOne:
         )
 
 
+class TestCapBelowOne:
+    """``--cap`` below 1 is a usage error, raised while the arguments are parsed."""
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["stats", "g.el"],
+        ["enumerate-mds", "g.el"],
+        ["well-dominated", "g.el"],
+        ["well-dominated", "--lex", "g.el", "g.el"],
+    ], ids=["stats", "enumerate-mds", "well-dominated", "lex"])
+    def test_rejected_before_the_graph_is_read(self, argv, cap, tmp_path, monkeypatch, capsys):
+        def load(path):
+            raise AssertionError("the graph was read")
+
+        monkeypatch.setattr(domkit.cli, "_load_graph", load)
+        path = tmp_path / "g.el"
+        path.write_text(write_graph(path_graph(3)))
+        argv = [str(path) if arg == "g.el" else arg for arg in argv]
+        assert main([*argv, "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"domkit {argv[0]}: error: argument --cap: must be at least 1, not {cap}\n"
+        )
+
+
 class TestBoundedKWithoutK:
     """``--method bounded-k`` without ``--k`` finds the domination number itself."""
 

@@ -1,6 +1,7 @@
 """Transversal machinery against subset brute force and frozen small cases."""
 
 import itertools
+import time
 from random import Random
 
 import pytest
@@ -183,6 +184,34 @@ class TestBoundedSize:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             minimal_transversals_up_to_size(TRIANGLE, -1)
+
+    def test_matches_brute_force_in_order(self):
+        rng = Random(12)
+        instances = []
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            masks = []
+            for _ in range(rng.randint(0, 8)):
+                mask = rng.randint(1, (1 << n) - 1)
+                # a duplicate or a superset of an edge keeps the input non-Sperner
+                masks += [mask, mask if rng.random() < 0.5 else mask | rng.randint(1, (1 << n) - 1)]
+            instances.append(Hypergraph(n, [VertexSet.from_mask(n, m) for m in masks]))
+        instances += [
+            neighborhood_hypergraph(g) for n in range(1, 6) for g in nonisomorphic_graphs(n)
+        ]
+        instances += [neighborhood_hypergraph(random_graph(10, rng, p)) for p in (0.15, 0.3, 0.5)]
+        for h in instances:
+            every = bruteforce.minimal_transversals(h)
+            for k in range(5):
+                assert minimal_transversals_up_to_size(h, k) == [x for x in every if len(x) <= k]
+
+    def test_depth_bounded_on_many_disjoint_pairs(self):
+        # 20 disjoint pairs: every minimal transversal has 20 vertices, so a
+        # search for those of at most 5 finds none and must stop at depth 5
+        h = Hypergraph(40, [[2 * i, 2 * i + 1] for i in range(20)])
+        start = time.perf_counter()
+        assert minimal_transversals_up_to_size(h, 5) == []
+        assert time.perf_counter() - start < 0.5
 
 
 class TestHittingSet:

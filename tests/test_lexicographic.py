@@ -86,8 +86,10 @@ class TestConstruction:
         assert len(prod.graph.edges) == want
 
     def test_empty_factor_rejected(self):
-        with pytest.raises(ValueError):
-            lex_product(Graph(0), path_graph(2))
+        for build in (lex_product, enumerate_minimal_dominating_sets_product, gamma_product):
+            for base, fiber in ((Graph(0), path_graph(2)), (path_graph(2), Graph(0))):
+                with pytest.raises(ValueError, match="both factors must have at least one vertex"):
+                    build(base, fiber)
 
     def test_encode_decode(self, p5p3):
         for g in range(5):

@@ -1,19 +1,57 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import domkit
 
+PACKAGE = Path(domkit.__file__).parent
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _parsed_modules():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) >= 8
+    return [(path, ast.parse(path.read_text(), str(path))) for path in paths]
+
 
 def test_package_has_no_assert_statements():
     # ``python -O`` strips assert statements, so no check in the package may be one
-    paths = sorted(Path(domkit.__file__).parent.glob("*.py"))
-    assert len(paths) >= 8
     found = [
         f"{path.name}:{node.lineno}"
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for path, tree in _parsed_modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the benchmark's tracer wraps names in the namespaces that call them, so a
+    # name it wraps may stay imported where the code no longer calls it;
+    # ``__init__`` imports the package's public names for its users
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = {(ns, attr) for ns, attr, *_ in tracer._SPANS + tracer._COUNTERS}
+    unread = [
+        f"{path.stem}.{name}"
+        for path, tree in _parsed_modules()
+        if path.stem != "__init__"
+        for name in sorted(_imported_names(tree) - {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        })
+        if (path.stem, name) not in wrapped
+    ]
+    assert unread == []
