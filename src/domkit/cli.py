@@ -282,10 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, cap=True):
+        # only the subcommands that run an exponential search take --cap
         p.add_argument("--json", action="store_true", help="structured output")
-        p.add_argument("--cap", type=_size_arg, default=None,
-                       help="enumeration vertex cap (default 24)")
+        if cap:
+            p.add_argument("--cap", type=_size_arg, default=None,
+                           help="enumeration vertex cap (default 24)")
 
     p = sub.add_parser("stats", help="domination parameters of a graph")
     p.add_argument("graph", help="edge-list file")
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-set", help="classify a vertex set in a graph")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("set", help="comma- or space-separated vertices ('-' for the empty set)")
-    add_common(p)
+    add_common(p, cap=False)
     p.set_defaults(func=_cmd_check_set)
 
     p = sub.add_parser("enumerate-mds", help="list all minimal dominating sets")
@@ -306,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="emit the lexicographic product of two graphs")
     p.add_argument("base", help="edge-list file of the base graph")
     p.add_argument("fiber", help="edge-list file of the fiber graph")
-    add_common(p)
+    add_common(p, cap=False)
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("well-dominated", help="recognize well-dominated graphs")
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the keys of verification.SCALES, spelled out to keep that import deferred
     p.add_argument("--scale", choices=("full", "small"), default="small")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true", help="structured output")
+    add_common(p, cap=False)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -15,6 +15,7 @@ skeleton of the edge-list document formats are each defined here once.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from typing import Callable, Iterable, Iterator
 
@@ -73,11 +74,24 @@ def _bulk_new(cls: type, count: int, *slots: tuple) -> list:
     Each of ``slots`` is a pair (slot descriptor, values), and instance i
     gets the i-th value.  C-level ``map`` loops allocate the instances and
     store every slot, with no Python bytecode run per instance.
+
+    The cyclic collector is paused around the loops, which would otherwise
+    trigger collections that walk the growing list again and again.  The
+    instances hold only ints and tuples of ints, so no cycle is made while
+    it is off.  Its previous state is restored on the way out, even when
+    ``values`` raises; a collector the caller had switched off stays off.
+    The switch is process-wide and not coordinated across threads.
     """
-    objs = list(map(object.__new__, itertools.repeat(cls, count)))
-    for slot, values in slots:
-        # each setter returns None, so any() just drives the map to its end
-        any(map(slot.__set__, objs, values))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        objs = list(map(object.__new__, itertools.repeat(cls, count)))
+        for slot, values in slots:
+            # each setter returns None, so any() just drives the map to its end
+            any(map(slot.__set__, objs, values))
+    finally:
+        if was_enabled:
+            gc.enable()
     return objs
 
 
@@ -152,6 +166,10 @@ class VertexSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexSet is immutable")
+
+    def __reduce__(self):
+        # the default restores the slots through the blocking __setattr__
+        return (type(self).from_mask, (self.universe_size, self.mask))
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -233,6 +251,9 @@ class Graph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.n, self.edges))
 
     def adj_mask(self, v: int) -> int:
         """Bitmask of the open neighborhood of ``v``."""

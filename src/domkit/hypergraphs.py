@@ -63,6 +63,9 @@ class Hypergraph:
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
 
+    def __reduce__(self):
+        return (type(self), (self.n, self.hyperedges))
+
     @property
     def edge_masks(self) -> tuple[int, ...]:
         return tuple(e.mask for e in self.hyperedges)

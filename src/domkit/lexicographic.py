@@ -78,6 +78,9 @@ class ProductGraph:
     def __setattr__(self, name, value):
         raise AttributeError("ProductGraph is immutable")
 
+    def __reduce__(self):
+        return (type(self), (self.base, self.fiber))
+
     @property
     def nontrivial(self) -> bool:
         """Both factors have at least two vertices."""
@@ -92,6 +95,16 @@ class ProductGraph:
         if not 0 <= flat < self.graph.n:
             raise ValueError(f"flat vertex {flat} outside the product universe")
         return divmod(flat, self.fiber.n)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ProductGraph)
+            and self.base == other.base
+            and self.fiber == other.fiber
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.fiber))
 
     def __repr__(self) -> str:
         return f"ProductGraph(base={self.base!r}, fiber={self.fiber!r})"
@@ -121,9 +134,12 @@ class ProductSet:
     the per-vertex fibers are derived from it on demand; the set always
     equals the disjoint union of {x} x fiber(x) over the projected vertices
     x, and flattening is exact in both directions.
+
+    ``base_n`` and ``fiber_n`` are read off one ``(base_n, fiber_n)`` tuple,
+    which every set of one enumeration shares, so a set is two slots.
     """
 
-    __slots__ = ("base_n", "fiber_n", "mask")
+    __slots__ = ("_shape", "mask")
 
     def __init__(self, base_n: int, fiber_n: int, pairs: Iterable[tuple[int, int]]):
         cleaned = sorted(set((int(g), int(h)) for g, h in pairs))
@@ -132,12 +148,22 @@ class ProductSet:
             if not (0 <= g < base_n and 0 <= h < fiber_n):
                 raise ValueError(f"pair ({g}, {h}) outside the product universe")
             mask |= 1 << (g * fiber_n + h)
-        object.__setattr__(self, "base_n", base_n)
-        object.__setattr__(self, "fiber_n", fiber_n)
+        object.__setattr__(self, "_shape", (base_n, fiber_n))
         object.__setattr__(self, "mask", mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProductSet is immutable")
+
+    def __reduce__(self):
+        return (type(self), (*self._shape, self.pairs))
+
+    @property
+    def base_n(self) -> int:
+        return self._shape[0]
+
+    @property
+    def fiber_n(self) -> int:
+        return self._shape[1]
 
     @classmethod
     def _wrap_mirrored(
@@ -152,12 +178,11 @@ class ProductSet:
         order of ``keys``; the caller is responsible for the precondition,
         which is what lets the product enumerator skip the public
         constructor's sort and per-pair checks.  The sets are built by
-        :func:`graphs._bulk_new`.
+        :func:`graphs._bulk_new` and share one shape tuple.
         """
         full = (1 << (base_n * fiber_n)) - 1
         count = len(keys)
-        return _bulk_new(cls, count, (cls.base_n, itertools.repeat(base_n, count)),
-                         (cls.fiber_n, itertools.repeat(fiber_n, count)),
+        return _bulk_new(cls, count, (cls._shape, itertools.repeat((base_n, fiber_n), count)),
                          (cls.mask, map(full.__and__, keys)))
 
     @classmethod
@@ -176,8 +201,8 @@ class ProductSet:
         The list in between sizes the tuple exactly, where a tuple built
         straight from the iterator over-allocates as it grows.
         """
-        fiber_n = self.fiber_n
-        flat_n = self.base_n * fiber_n
+        base_n, fiber_n = self._shape
+        flat_n = base_n * fiber_n
         if flat_n > _PAIR_ROW_BITS:
             return tuple(divmod(v, fiber_n) for v in iter_bits(self.mask))
         row = _PAIR_ROWS.get(fiber_n, ())
@@ -187,7 +212,8 @@ class ProductSet:
 
     def _row(self, g: int) -> int:
         """The mask of the fiber over base vertex g (0 when g is not projected)."""
-        return self.mask >> (g * self.fiber_n) & ((1 << self.fiber_n) - 1)
+        fiber_n = self._shape[1]
+        return self.mask >> (g * fiber_n) & ((1 << fiber_n) - 1)
 
     def projection(self) -> VertexSet:
         """Base-graph vertices that carry at least one member."""
@@ -218,13 +244,12 @@ class ProductSet:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ProductSet)
-            and self.base_n == other.base_n
-            and self.fiber_n == other.fiber_n
+            and self._shape == other._shape
             and self.mask == other.mask
         )
 
     def __hash__(self) -> int:
-        return hash((self.base_n, self.fiber_n, self.mask))
+        return hash((*self._shape, self.mask))
 
     def __repr__(self) -> str:
         return f"ProductSet({self.base_n}, {self.fiber_n}, {list(self.pairs)})"
@@ -431,7 +456,7 @@ def enumerate_minimal_dominating_sets_product(
     ascending flat indices, so :func:`graphs._sort_mirrored` gives it.  The
     keys are then stripped of their mirror and wrapped in one call to
     :meth:`ProductSet._wrap_mirrored`, so the per-set cost after the OR is
-    one allocation and three slot stores.
+    one allocation and two slot stores, with the cyclic collector paused.
 
     The cap guards the factor sizes, not the flattened size, so products far
     beyond the flattened enumeration range stay reachable.

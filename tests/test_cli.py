@@ -348,6 +348,24 @@ class TestCapBelowOne:
         )
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-set", "p3.el", "1"],
+    ["product", "p3.el", "p3.el"],
+], ids=["check-set", "product"])
+def test_subcommands_without_a_search_take_no_cap(argv, tmp_path, monkeypatch, capsys):
+    def load(path):
+        raise AssertionError("the graph was read")
+
+    monkeypatch.setattr(domkit.cli, "_load_graph", load)
+    path = tmp_path / "p3.el"
+    path.write_text(write_graph(path_graph(3)))
+    argv = [str(path) if arg == "p3.el" else arg for arg in argv]
+    assert main([*argv, "--cap", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("domkit: error: unrecognized arguments: --cap 1\n")
+
+
 class TestBoundedKWithoutK:
     """``--method bounded-k`` without ``--k`` finds the domination number itself."""
 

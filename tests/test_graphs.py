@@ -1,6 +1,9 @@
 """Graph kernel: parsing, neighborhoods, complement, components, triangles."""
 
+import copy
+import gc
 import itertools
+import pickle
 from random import Random
 
 import pytest
@@ -10,6 +13,7 @@ from domkit.graphs import (
     Graph,
     GraphParseError,
     VertexSet,
+    _bulk_new,
     _mirrored,
     _sort_mirrored,
     _universal_mask,
@@ -30,7 +34,9 @@ from domkit.graphs import (
     write_graph,
 )
 from domkit.families import complete_graph, cycle_graph, edgeless_graph, path_graph
-from domkit.lexicographic import ProductSet
+from domkit.hypergraphs import Hypergraph
+from domkit.lexicographic import ProductSet, lex_product
+from domkit.recognition import recognize
 
 from conftest import graph_with_subset, graphs
 
@@ -101,6 +107,85 @@ class TestVertexSet:
         assert a.intersection(b).members == (1,)
         assert a.difference(b).members == (0, 3)
         assert VertexSet(5, [1]).issubset(a)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Run the test with the cyclic collector on or off, and restore its state after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestBulkNewPausesTheCollector:
+    def test_state_is_restored(self, collector):
+        objs = _bulk_new(VertexSet, 3, (VertexSet.universe_size, [4, 4, 4]),
+                         (VertexSet.mask, [1, 2, 3]))
+        assert objs == [VertexSet.from_mask(4, m) for m in (1, 2, 3)]
+        assert gc.isenabled() is collector
+
+    def test_state_is_restored_when_the_values_raise(self, collector):
+        def values():
+            yield 1
+            yield 2
+            raise RuntimeError("values failed")
+
+        with pytest.raises(RuntimeError, match="values failed"):
+            _bulk_new(VertexSet, 3, (VertexSet.universe_size, [4, 4, 4]),
+                      (VertexSet.mask, values()))
+        assert gc.isenabled() is collector
+
+    def test_no_collection_runs_during_the_allocation(self):
+        count = 100_000
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            objs = _bulk_new(VertexSet, count,
+                             (VertexSet.universe_size, itertools.repeat(17, count)),
+                             (VertexSet.mask, range(count)))
+            during = len(starts)
+        finally:
+            gc.callbacks.remove(record)
+            (gc.enable if was_enabled else gc.disable)()
+        assert during == 0
+        assert len(objs) == count and objs[-1] == VertexSet.from_mask(17, count - 1)
+
+
+_NEGATIVE_REPORT = recognize(path_graph(5))
+
+
+@pytest.mark.parametrize("value", [
+    Graph(4, [(0, 1), (2, 3)]),
+    VertexSet(70, [0, 5, 69]),
+    Hypergraph(4, [[0, 1], [1, 2, 3]]),
+    lex_product(path_graph(3), cycle_graph(4)),
+    ProductSet(3, 4, [(0, 1), (2, 3)]),
+    _NEGATIVE_REPORT,
+], ids=["Graph", "VertexSet", "Hypergraph", "ProductGraph", "ProductSet", "RecognitionReport"])
+@pytest.mark.parametrize("clone", [
+    copy.copy,
+    copy.deepcopy,
+    lambda value: pickle.loads(pickle.dumps(value)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_immutable_types_copy_and_pickle(value, clone):
+    other = clone(value)
+    assert type(other) is type(value) and other == value
+    if value is _NEGATIVE_REPORT:
+        assert not value.verdict and value.witness_large is not None
+        # the report's notes are a dict, so it has no hash; its witnesses do
+        assert hash(other.witness_large) == hash(value.witness_large)
+    else:
+        assert hash(other) == hash(value)
+    # the payload is the public constructor's arguments, not the slots
+    assert b"_shape" not in pickle.dumps(value)
 
 
 def test_universal_mask():

@@ -157,6 +157,26 @@ class TestProductSet:
                 g: tuple(h for x, h in pairs if x == g) for g in sorted({g for g, _ in pairs})
             }
 
+    def test_layout_is_a_shared_shape_and_a_mask(self):
+        assert ProductSet.__slots__ == ("_shape", "mask")
+        sets = enumerate_minimal_dominating_sets_product(path_graph(5), path_graph(3))
+        assert len(sets) > 1 and len({id(d._shape) for d in sets}) == 1
+        assert sets[0]._shape == (5, 3) and (sets[0].base_n, sets[0].fiber_n) == (5, 3)
+        d = ProductSet(5, 3, [(1, 1), (2, 0)])
+        assert hash(d) == hash((5, 3, d.mask))
+        with pytest.raises(AttributeError):
+            d.base_n = 0
+        with pytest.raises(AttributeError):
+            d.fiber_n = 0
+        with pytest.raises(AttributeError):
+            d._shape = (5, 3)
+
+    def test_equal_masks_of_different_shapes_are_unequal(self):
+        a, b = ProductSet(2, 3, [(0, 1)]), ProductSet(3, 2, [(0, 1)])
+        assert a.mask == b.mask == 2
+        assert a != b and a == ProductSet(2, 3, [(0, 1)])
+        assert len({a, b}) == 2
+
     @pytest.mark.parametrize("base_n, fiber_n", [(25, 25), (2, 30)])
     def test_shapes_past_the_pair_tables_decode_member_by_member(self, base_n, fiber_n):
         pairs = [(0, 0), (1, fiber_n - 1), (base_n - 1, 3)]

@@ -55,3 +55,20 @@ def test_no_module_imports_a_name_it_never_reads():
         if (path.stem, name) not in wrapped
     ]
     assert unread == []
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    return modules
+
+
+def test_only_graphs_imports_gc():
+    # the collector switch is process-wide, so one primitive
+    # (``graphs._bulk_new``) owns it
+    importers = [path.name for path, tree in _parsed_modules() if "gc" in _imported_modules(tree)]
+    assert importers == ["graphs.py"]
