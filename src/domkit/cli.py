@@ -219,6 +219,9 @@ def _cmd_well_dominated(args) -> int:
     if args.lex:
         if args.graph is not None:
             raise ValueError("give either one graph or --lex with two graphs, not both")
+        if args.method != "auto" or args.k is not None:
+            raise ValueError("--method and --k do not apply to --lex, which recognizes "
+                             "the product from its factors")
         base = _load_graph(args.lex[0])
         fiber = _load_graph(args.lex[1])
         return _print_recognition(is_well_dominated_lex(base, fiber, args.cap), args.json)

@@ -7,7 +7,7 @@ operations here are pure functions and safe to share across threads.
 
 This is also the bitmask kernel the other modules share: the vertex-set
 universe check, the ascending members of a mask, the bulk allocation of
-slotted sets, the mirrored sort key that gives the canonical order, open and
+slotted sets, the sort key that gives the canonical order, open and
 closed neighborhood unions of a mask, the universal vertices of a graph, the
 ascending removal pass that shrinks a set while a property holds, and the
 skeleton of the edge-list document formats are each defined here once.
@@ -95,29 +95,25 @@ def _bulk_new(cls: type, count: int, *slots: tuple) -> list:
     return objs
 
 
-def _mirrored(n: int) -> list[int]:
-    """Entry v: the key bit of vertex v in a universe of ``n``, with its mirror.
+def _key_table(n: int) -> tuple[int, list[int]]:
+    """The canonical sort key of the sets over a universe of ``n``.
 
-    A mirrored key holds a set twice, vertex v at bit v and again at bit
-    2n - 1 - v, so the OR of the entries of the members is the set's key and
-    ``key & ((1 << n) - 1)`` recovers the set.  See :func:`_sort_mirrored`.
-    """
-    top = 2 * n - 1
-    return [1 << v | 1 << (top - v) for v in range(n)]
-
-
-def _sort_mirrored(keys: list[int]) -> None:
-    """Sort mirrored keys (see :func:`_mirrored`) in place into canonical set order.
+    Returns the key of the empty set, (2^n - 1) * 2^n, and one entry per
+    vertex, 2^(2n) - 2^(2n-1-v) + 2^v for vertex v; a set's key is the key
+    of the empty set plus the entries of its members.  Members are
+    distinct, so the sum is exact and it holds three fields: the size in the
+    bits from 2n up, the complemented mirror of the set (vertex v cleared
+    at bit 2n - 1 - v) in bits n..2n-1, and the set itself in the low n
+    bits.  ``key >> 2 * n`` is the size and ``key & ((1 << n) - 1)`` the set.
 
     Canonical order is by size, then by ascending members.  Of two sets of
     one size, the canonical first holds the lowest vertex of their symmetric
-    difference, so its mirror is the larger; the mirror fills the high bits,
-    so it decides the comparison of the whole ints.  A descending sort and
-    then a stable sort by ``int.bit_count``, twice the size, therefore give
-    the canonical order with no key tuple per set.
+    difference, so its mirror is the larger and its complement the smaller,
+    and the size outranks both: one plain ascending sort of the keys gives
+    the canonical order, with no key function or tuple per set.
     """
-    keys.sort(reverse=True)
-    keys.sort(key=int.bit_count)
+    top = 2 * n - 1
+    return ((1 << n) - 1) << n, [(1 << top + 1) - (1 << top - v) + (1 << v) for v in range(n)]
 
 
 class VertexSet:
@@ -154,8 +150,8 @@ class VertexSet:
         """Wrap the low ``universe_size`` bits of each key, without checking them.
 
         Precondition: ``universe_size >= 0`` and every item of ``keys`` is a
-        non-negative int; bits at ``universe_size`` and above (an
-        enumerator's mirror) are dropped.  Returns the sets equal to
+        non-negative int; bits at ``universe_size`` and above (the rest of
+        a :func:`_key_table` key) are dropped.  Returns the sets equal to
         ``VertexSet.from_mask(universe_size, key & full)``, in the order of
         ``keys``, built by :func:`_bulk_new`.
         """

@@ -33,10 +33,9 @@ from .graphs import (
     VertexSet,
     _check_universe,
     _int_tokens,
+    _key_table,
     _minimalize,
-    _mirrored,
     _parse_records,
-    _sort_mirrored,
     iter_bits,
 )
 
@@ -134,7 +133,7 @@ def _edge_incidence(n: int, edges: list[int] | tuple[int, ...]) -> list[int]:
 
 
 def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
-    """The minimal transversals of ``h`` as mirrored keys, in search order.
+    """The minimal transversals of ``h`` as canonical keys, in search order.
 
     MMCS with an explicit stack over the distinct edges in ascending mask
     order: branch on the first uncovered edge with the fewest candidates; the
@@ -150,17 +149,17 @@ def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
     keeps a critical edge of its own among the node's uncovered edges.  With
     lo > n and hi < 0 nothing is cut.
 
-    A frame holds its set as a mirrored key (see :func:`graphs._mirrored`),
-    so callers put the keys in canonical order with
-    :func:`graphs._sort_mirrored` and wrap them without a key tuple per set.
+    A frame holds its set as its key (see :func:`graphs._key_table`), so
+    callers put the keys in canonical order with one plain sort, read a
+    size as ``key >> 2n``, and wrap the keys without a key tuple per set.
     """
     n = h.n
-    both = _mirrored(n)
+    empty, entries = _key_table(n)
     edges = sorted(set(h.edge_masks))
     incidence = _edge_incidence(n, edges)
-    # frame: the mirrored set, each member's critical edges, uncovered edges,
+    # frame: the set's key, each member's critical edges, uncovered edges,
     # candidates
-    stack = [(0, [], (1 << len(edges)) - 1, (1 << n) - 1)]
+    stack = [(empty, [], (1 << len(edges)) - 1, (1 << n) - 1)]
     while stack:
         chosen, crit, uncov, cand = stack.pop()
         if not uncov:
@@ -188,14 +187,14 @@ def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
             kept = [c & ~hit for c in crit]
             if 0 not in kept:
                 kept.append(uncov & hit)
-                stack.append((chosen | both[v], kept, uncov & ~hit, cand))
+                stack.append((chosen + entries[v], kept, uncov & ~hit, cand))
             cand |= low
 
 
 def enumerate_minimal_transversals(h: Hypergraph) -> list[VertexSet]:
     """All minimal transversals, canonically ordered: :func:`_mmcs` with no cut."""
     found = list(_mmcs(h, [h.n + 1, -1]))
-    _sort_mirrored(found)
+    found.sort()
     return VertexSet._wrap(h.n, found)
 
 
@@ -208,8 +207,9 @@ def _transversal_size_range(h: Hypergraph) -> tuple[int, int]:
     """
     # no leaf yet: nothing is cut
     bounds = [h.n + 1, -1]
+    shift = 2 * h.n
     for key in _mmcs(h, bounds):
-        size = key.bit_count() >> 1  # a mirrored key holds each member twice
+        size = key >> shift
         if size < bounds[0]:
             bounds[0] = size
         if size > bounds[1]:
@@ -227,7 +227,7 @@ def minimal_transversals_up_to_size(h: Hypergraph, k: int) -> list[VertexSet]:
     if k < 0:
         raise ValueError("size bound must be non-negative")
     found = list(_mmcs(h, [k + 1, h.n + len(h.hyperedges)]))
-    _sort_mirrored(found)
+    found.sort()
     return VertexSet._wrap(h.n, found)
 
 

@@ -19,9 +19,8 @@ from .graphs import (
     Graph,
     VertexSet,
     _bulk_new,
+    _key_table,
     _members,
-    _mirrored,
-    _sort_mirrored,
     _universal_mask,
     is_edgeless,
     isolated_vertices,
@@ -166,19 +165,18 @@ class ProductSet:
         return self._shape[1]
 
     @classmethod
-    def _wrap_mirrored(
-        cls, base_n: int, fiber_n: int, keys: list[int]
-    ) -> list["ProductSet"]:
-        """Wrap flat masks that carry a mirror in their high bits, without checking them.
+    def _wrap(cls, base_n: int, fiber_n: int, keys: list[int]) -> list["ProductSet"]:
+        """Wrap the low ``base_n * fiber_n`` bits of each key, without checking them.
 
         Precondition: ``base_n`` and ``fiber_n`` are positive ints and every
         item of ``keys`` is a non-negative int whose low ``base_n * fiber_n``
-        bits are the set's flat mask; any higher bits (the enumerator's
-        mirror) are dropped.  Returns the sets with those flat masks, in the
-        order of ``keys``; the caller is responsible for the precondition,
-        which is what lets the product enumerator skip the public
-        constructor's sort and per-pair checks.  The sets are built by
-        :func:`graphs._bulk_new` and share one shape tuple.
+        bits are the set's flat mask; any higher bits (the rest of the
+        enumerator's :func:`graphs._key_table` key) are dropped.  Returns
+        the sets with those flat masks, in the order of ``keys``; the caller
+        is responsible for the precondition, which is what lets the product
+        enumerator skip the public constructor's sort and per-pair checks.
+        The sets are built by :func:`graphs._bulk_new` and share one shape
+        tuple.
         """
         full = (1 << (base_n * fiber_n)) - 1
         count = len(keys)
@@ -189,7 +187,7 @@ class ProductSet:
     def from_flat(cls, product: ProductGraph, flat: VertexSet) -> "ProductSet":
         if flat.universe_size != product.graph.n:
             raise ValueError("flattened set universe does not match the product")
-        return cls._wrap_mirrored(product.base.n, product.fiber.n, [flat.mask])[0]
+        return cls._wrap(product.base.n, product.fiber.n, [flat.mask])[0]
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -364,27 +362,26 @@ def _minimality(base: Graph, fiber_graph: Graph, d: ProductSet) -> ProductMinima
 
 
 def _blocks(
-    both: list[int], fiber_n: int, x: int, options: Iterable[tuple[int, ...]]
+    entries: list[int], fiber_n: int, x: int, options: Iterable[tuple[int, ...]]
 ) -> tuple[int, ...]:
-    """One block per option: the mirrored mask of the pairs (x, h) for its h.
+    """One block per option: the sum of the key entries of the pairs (x, h) for its h.
 
-    ``both`` is :func:`graphs._mirrored` of the flat universe.
+    ``entries`` is the entry list of :func:`graphs._key_table` for the flat
+    universe.
     """
     row = x * fiber_n
-    blocks = []
-    for option in options:
-        block = 0
-        for h in option:
-            block |= both[row + h]
-        blocks.append(block)
-    return tuple(blocks)
+    return tuple(sum(entries[row + h] for h in option) for option in options)
 
 
-def _concatenations(choice_lists: list) -> list[int]:
-    """Every union of one block from each list, in product order."""
-    prefixes = [0]
+def _concatenations(choice_lists: list, empty: int) -> list[int]:
+    """The key of every union of one block from each list, in product order.
+
+    ``empty`` is the key of the empty set; the blocks of distinct lists hold
+    distinct pairs, so adding them builds each union's key.
+    """
+    prefixes = [empty]
     for blocks in choice_lists:
-        prefixes = [prefix | block for prefix in prefixes for block in blocks]
+        prefixes = [prefix + block for prefix in prefixes for block in blocks]
     return prefixes
 
 
@@ -437,26 +434,34 @@ def enumerate_minimal_dominating_sets_product(
     condition holds automatically).  The output equals brute-force
     minimal-dominating enumeration on the flattened product.
 
-    The base sets come as the leaf frames of
+    Sets are built as canonical keys (see :func:`graphs._key_table`) over
+    the flat index v = g * |V(H)| + h.  Each base vertex x gets its blocks
+    once, one per fiber vertex and one per minimal dominating set of the
+    fiber graph, and a set's key is the key of the empty set plus one block
+    per member.
+
+    With a complete fiber graph every fiber vertex is universal, so no P
+    with a redundant member passes the leaf condition: the base sets are
+    exactly the minimal dominating sets of the base graph, which come from
+    :func:`domination.enumerate_minimal_dominating_sets`, and the minimal
+    dominating sets of the fiber graph are its single vertices, so every
+    member gets its single-pair blocks.
+
+    Otherwise the base sets come as the leaf frames of
     :func:`domination._irreducible_frames`, which already hold the totally
     dominated members, the redundant members and their leaf neighbors, so
-    nothing about P is computed again.  Sets are built as mirrored keys (see
-    :func:`graphs._mirrored`) over the flat index v = g * |V(H)| + h.  Each
-    base vertex x gets its blocks once, one per fiber vertex and one per
-    minimal dominating set of the fiber graph, and a set is the OR of one
-    block per member.  Leaves are totally dominated, so their blocks are
-    single pairs, split once per base vertex into those with a non-universal
-    and with a universal fiber vertex; the leaf condition depends only on
-    which kind each leaf gets, and is tested once per such pattern of the
-    leaves it names rather than once per set (see :func:`_leaf_admissible`).
-    With a complete fiber graph no pattern passes, so a base set with a
-    redundant member is dropped at once.
+    nothing about P is computed again.  Leaves are totally dominated, so
+    their blocks are single pairs, split once per base vertex into those
+    with a non-universal and with a universal fiber vertex; the leaf
+    condition depends only on which kind each leaf gets, and is tested once
+    per such pattern of the leaves it names rather than once per set (see
+    :func:`_leaf_admissible`).
 
     The canonical order is by size, then by ascending pairs, which is
-    ascending flat indices, so :func:`graphs._sort_mirrored` gives it.  The
-    keys are then stripped of their mirror and wrapped in one call to
-    :meth:`ProductSet._wrap_mirrored`, so the per-set cost after the OR is
-    one allocation and two slot stores, with the cyclic collector paused.
+    ascending flat indices, so one plain sort of the keys gives it.  The
+    keys are then wrapped in one call to :meth:`ProductSet._wrap`, which
+    keeps their low bits, so the per-set cost after the sum is one
+    allocation and two slot stores, with the cyclic collector paused.
 
     The cap guards the factor sizes, not the flattened size, so products far
     beyond the flattened enumeration range stay reachable.
@@ -466,41 +471,42 @@ def enumerate_minimal_dominating_sets_product(
     _check_cap(fiber.n, cap)
 
     base_n, fiber_n = base.n, fiber.n
-    both = _mirrored(base_n * fiber_n)
-    fiber_sets = [d.members for d in enumerate_minimal_dominating_sets(fiber, cap)]
+    empty, entries = _key_table(base_n * fiber_n)
     universal = _universal_mask(fiber)
-    complete = universal == fiber.full_mask
-    # per base vertex x: its blocks when totally dominated (one per fiber
-    # vertex) and when barely dominated (one per minimal dominating set)
+    # per base vertex x: its blocks when totally dominated, one per fiber vertex
     singletons = [(h,) for h in range(fiber_n)]
-    pair_blocks = [_blocks(both, fiber_n, x, singletons) for x in range(base_n)]
-    set_blocks = [_blocks(both, fiber_n, x, fiber_sets) for x in range(base_n)]
-    # split[x]: x's single-pair blocks with a non-universal and a universal
-    # fiber vertex
-    split = [
-        (tuple(b for h, b in enumerate(row) if not universal >> h & 1),
-         tuple(b for h, b in enumerate(row) if universal >> h & 1))
-        for row in pair_blocks
-    ]
-    low = base.full_mask
+    pair_blocks = [_blocks(entries, fiber_n, x, singletons) for x in range(base_n)]
     raw: list[int] = []
-    for _, dmask, _, tot, support in _irreducible_frames(base):
-        # the leaf condition binds only with a universal fiber vertex; a
-        # redundant member's mask has no low bit, and its high bits are its
-        # leaf neighbors
-        supports = [s >> base_n for s in support if not s & low] if universal else None
-        if supports and complete:
-            continue
-        totally = dmask & tot
-        choice_lists = [pair_blocks[x] if totally >> x & 1 else set_blocks[x]
-                        for x in _members(dmask)]
-        if supports:
-            for lists in _leaf_admissible(choice_lists, dmask, supports, split):
-                raw.extend(_concatenations(lists))
-        else:
-            raw.extend(_concatenations(choice_lists))
-    _sort_mirrored(raw)
-    return ProductSet._wrap_mirrored(base_n, fiber_n, raw)
+    if universal == fiber.full_mask:
+        for p in enumerate_minimal_dominating_sets(base, cap):
+            raw.extend(_concatenations([pair_blocks[x] for x in p.members], empty))
+    else:
+        # x's blocks when barely dominated, one per minimal dominating set
+        fiber_sets = [d.members for d in enumerate_minimal_dominating_sets(fiber, cap)]
+        set_blocks = [_blocks(entries, fiber_n, x, fiber_sets) for x in range(base_n)]
+        # split[x]: x's single-pair blocks with a non-universal and a
+        # universal fiber vertex
+        split = [
+            (tuple(b for h, b in enumerate(row) if not universal >> h & 1),
+             tuple(b for h, b in enumerate(row) if universal >> h & 1))
+            for row in pair_blocks
+        ]
+        low = base.full_mask
+        for _, dmask, _, tot, support in _irreducible_frames(base):
+            # the leaf condition binds only with a universal fiber vertex; a
+            # redundant member's mask has no low bit, and its high bits are
+            # its leaf neighbors
+            supports = [s >> base_n for s in support if not s & low] if universal else None
+            totally = dmask & tot
+            choice_lists = [pair_blocks[x] if totally >> x & 1 else set_blocks[x]
+                            for x in _members(dmask)]
+            if supports:
+                for lists in _leaf_admissible(choice_lists, dmask, supports, split):
+                    raw.extend(_concatenations(lists, empty))
+            else:
+                raw.extend(_concatenations(choice_lists, empty))
+    raw.sort()
+    return ProductSet._wrap(base_n, fiber_n, raw)
 
 
 def gamma_product(base: Graph, fiber: Graph) -> int:

@@ -76,7 +76,7 @@ class RecognitionReport:
     common_size: int | None = None
     witness_small: VertexSet | None = None
     witness_large: VertexSet | None = None
-    notes: dict = field(default_factory=dict)
+    notes: dict = field(default_factory=dict, hash=False)
 
     def to_dict(self) -> dict:
         return {

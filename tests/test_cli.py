@@ -348,6 +348,42 @@ class TestCapBelowOne:
         )
 
 
+@pytest.mark.parametrize("flags", [
+    ["--method", "enum"],
+    ["--method", "gamma2"],
+    ["--method", "bounded-k"],
+    ["--k", "2"],
+    ["--method", "auto", "--k", "3"],
+    ["--method", "bounded-k", "--k", "2", "--json"],
+], ids=["enum", "gamma2", "bounded-k", "k", "auto-k", "bounded-k-k-json"])
+def test_lex_rejects_method_and_k(flags, tmp_path, monkeypatch, capsys):
+    # --lex applies the factor formula, so a recognizer choice or a size
+    # would be ignored; it is refused before either file is read
+    def load(path):
+        raise AssertionError("a graph was read")
+
+    monkeypatch.setattr(domkit.cli, "_load_graph", load)
+    path = tmp_path / "k2.el"
+    path.write_text(write_graph(complete_graph(2)))
+    start = time.perf_counter()
+    assert main(["well-dominated", "--lex", str(path), str(path), *flags]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --method and --k do not apply to --lex, which recognizes "
+                            "the product from its factors\n")
+
+
+def test_lex_accepts_method_auto(tmp_path, capsys):
+    path = tmp_path / "k2.el"
+    path.write_text(write_graph(complete_graph(2)))
+    argv = ["well-dominated", "--lex", str(path), str(path), "--json"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--method", "auto"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 @pytest.mark.parametrize("argv", [
     ["check-set", "p3.el", "1"],
     ["product", "p3.el", "p3.el"],

@@ -132,8 +132,8 @@ class TestEnumeration:
         assert all(is_minimal_transversal(h, x) for x in got)
 
     def test_order_across_byte_boundaries(self):
-        # the property tests above stay below 8 vertices, where the mirrored
-        # bits and the member tables never cross a byte
+        # the property tests above stay below 8 vertices, where the fields of
+        # a key and the member tables never cross a byte
         rng = Random(9)
         for n in range(9, 17):
             for _ in range(2):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import domkit.domination
 import domkit.lexicographic
 from domkit import bruteforce
 from domkit.domination import (
@@ -14,6 +15,7 @@ from domkit.domination import (
     enumerate_minimal_dominating_sets,
     gamma_t,
     is_irreducible_dominating,
+    is_minimal_dominating,
 )
 from domkit.families import (
     complete_graph,
@@ -278,9 +280,29 @@ class TestEnumerator:
         # vertices; 1 and 3 may not both get the universal centre
         assert len(over_p) == 3 * (3 * 3 - 1)
 
+    @pytest.mark.parametrize("base", [path_graph(5), cycle_graph(9), spider_graph(2, 2, 1)],
+                             ids=["P5", "C9", "spider"])
+    def test_complete_fiber_skips_the_irreducible_search(self, base, monkeypatch):
+        # these bases have irreducible sets with a redundant member, which a
+        # complete fiber rules out, so their base sets are the minimal
+        # dominating sets and the irreducible search never runs
+        assert any(not is_minimal_dominating(base, p)
+                   for p in enumerate_irreducible_dominating_sets(base))
+
+        def refuse(graph):
+            raise AssertionError("the irreducible search ran")
+
+        monkeypatch.setattr(domkit.domination, "_irreducible_frames", refuse)
+        monkeypatch.setattr(domkit.lexicographic, "_irreducible_frames", refuse)
+        for k in (1, 2, 3):
+            fiber = complete_graph(k)
+            got = [d.flatten() for d in enumerate_minimal_dominating_sets_product(base, fiber)]
+            flat = lex_product(base, fiber).graph
+            assert got == enumerate_minimal_dominating_sets(flat, cap=flat.n)
+
     def test_enumerated_sets_are_canonical(self):
-        # the last two have flat universes past 64 vertices (mirrored keys
-        # past 128 bits), with and without a universal fiber vertex
+        # the last two have flat universes past 64 vertices (keys past 128
+        # bits), with and without a universal fiber vertex
         for base, fiber in [
             (path_graph(5), path_graph(3)),
             (spider_graph(2, 2, 1), complete_graph(3)),

@@ -52,7 +52,7 @@ FACTOR_PAIRS = [
     # trivial factors
     (path_graph(7), complete_graph(1)),
     (complete_graph(1), cycle_graph(5)),
-    # flattened universes past 64 vertices (mirrored keys past 128 bits)
+    # flattened universes past 64 vertices (keys past 128 bits)
     (path_graph(5), star_graph(13)),
     (cycle_graph(4), edgeless_graph(17)),
     (edgeless_graph(3), star_graph(21)),

@@ -1,5 +1,6 @@
 """Well-dominated recognition: all methods, witnesses, and agreement."""
 
+import dataclasses
 import subprocess
 import sys
 import time
@@ -314,6 +315,26 @@ class TestReportShape:
             parsed = json.loads(blob)
             assert parsed["verdict"] == report.verdict
             assert parsed["method"] == report.method
+
+    @pytest.mark.parametrize("method, verdict, build", [
+        ("enumeration", True, lambda: is_well_dominated_enum(cycle_graph(4))),
+        ("enumeration", False, lambda: is_well_dominated_enum(path_graph(5))),
+        ("gamma2", True, lambda: is_well_dominated_gamma2(cycle_graph(4))),
+        ("gamma2", False, lambda: is_well_dominated_gamma2(path_graph(5))),
+        ("bounded_k", True, lambda: is_well_dominated_bounded_k(cycle_graph(4), 2)),
+        ("bounded_k", False, lambda: is_well_dominated_bounded_k(path_graph(5), 2)),
+        ("lex_formula", True, lambda: is_well_dominated_lex(cycle_graph(4), complete_graph(2))),
+        ("lex_formula", False, lambda: is_well_dominated_lex(path_graph(4), cycle_graph(4))),
+    ], ids=["enumeration-pos", "enumeration-neg", "gamma2-pos", "gamma2-neg", "bounded_k-pos",
+            "bounded_k-neg", "lex_formula-pos", "lex_formula-neg"])
+    def test_reports_hash_and_equal_reports_hash_equal(self, method, verdict, build):
+        # the hash skips the ``notes`` dict, which ``==`` still compares
+        report, again = build(), build()
+        assert (report.method, report.verdict) == (method, verdict)
+        assert report == again and hash(report) == hash(again)
+        assert {report, again} == {report}
+        changed = dataclasses.replace(again, notes={**again.notes, "extra": 1})
+        assert changed != report and hash(changed) == hash(report)
 
     def test_true_verdict_common_size_equals_gamma(self):
         for g in (cycle_graph(4), complete_graph(3), path_graph(4)):

@@ -72,3 +72,35 @@ def test_only_graphs_imports_gc():
     # (``graphs._bulk_new``) owns it
     importers = [path.name for path, tree in _parsed_modules() if "gc" in _imported_modules(tree)]
     assert importers == ["graphs.py"]
+
+
+def _private_definitions(tree: ast.Module):
+    """The private top-level functions and class methods of a module."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for member in members:
+            if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and member.name.startswith("_") and not member.name.endswith("__")):
+                yield member
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a helper that a rewrite replaced is deleted, not kept alive by tests:
+    # only references from the package itself count, and a definition's own
+    # body (a recursive call) does not
+    modules = _parsed_modules()
+    references = []
+    for path, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((path, node, node.id))
+            elif isinstance(node, ast.Attribute):
+                references.append((path, node, node.attr))
+    unused = []
+    for path, tree in modules:
+        for helper in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(helper)}
+            if not any(name == helper.name and not (where == path and id(node) in inside)
+                       for where, node, name in references):
+                unused.append(f"{path.stem}.{helper.name}")
+    assert unused == []
