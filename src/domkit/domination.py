@@ -18,6 +18,8 @@ from .graphs import (
     VertexSet,
     _check_universe,
     _closed_union,
+    _members,
+    _once_cover,
     _open_union,
     iter_bits,
 )
@@ -77,62 +79,60 @@ class DominationClassification:
     redundant: VertexSet
 
 
-def _leaves_mask(graph: Graph, dmask: int) -> int:
-    out = 0
-    for u in iter_bits(dmask):
-        if (graph.adj_mask(u) & dmask).bit_count() == 1:
-            out |= 1 << u
-    return out
+def _frame(graph: Graph, dmask: int) -> tuple:
+    """The leaf frame ``(n, members, dom, tot, support)`` of the set ``dmask``.
 
-
-def _private_cover(graph: Graph, dmask: int) -> tuple[int, int]:
-    """The vertices dominated by ``dmask``, and those dominated exactly once.
-
-    A vertex v is a private closed neighbor of a member u exactly when v lies
-    in N[u] and N[v] meets the set only in u, that is, when v is in N[u] and
-    in the second mask.  One pass over the members builds both masks.
+    ``dom`` and ``tot`` are the closed and the open neighborhood unions of
+    the members, and ``support`` holds one mask per member, in ascending
+    member order.  Bits 0..n-1 of member u's mask are its private closed
+    neighbors, the vertices whose closed neighborhood meets the set only in
+    u; bits n..2n-1 are the vertices whose only neighbor in the set is u.
+    ``members & ~tot`` are the barely dominated members, and a member whose
+    mask has no bit below n is redundant (see :func:`_redundant_leaves`).
+    For an irreducible dominating set this is the frame that
+    :func:`_irreducible_frames` yields.
     """
-    once = twice = 0
-    for u in iter_bits(dmask):
-        c = graph.closed_mask(u)
-        twice |= once & c
-        once |= c
-    return once, once & ~twice
+    n = graph.n
+    # each member's closed neighborhood in the low half, its open one above
+    masks = [graph.closed_mask(u) | graph.adj_mask(u) << n for u in _members(dmask)]
+    union, once = _once_cover(masks)
+    return n, dmask, union & graph.full_mask, union >> n, tuple([m & once for m in masks])
 
 
-def _redundant_mask(graph: Graph, dmask: int) -> int:
-    _, private = _private_cover(graph, dmask)
-    out = 0
-    for u in iter_bits(dmask):
-        if not graph.closed_mask(u) & private:
-            out |= 1 << u
-    return out
+def _redundant_leaves(frame: tuple) -> list[int]:
+    """For each redundant member of a frame, ascending, the mask of its leaf neighbors.
 
-
-def _leaf_supports(graph: Graph, dmask: int) -> list[int]:
-    """For each redundant member, ascending, the mask of its leaf neighbors."""
-    redundant = _redundant_mask(graph, dmask)
-    if not redundant:
-        return []
-    leaves = _leaves_mask(graph, dmask)
-    return [graph.adj_mask(r) & leaves for r in iter_bits(redundant)]
+    A redundant member u has no private closed neighbor, so its mask has no
+    bit below n.  A vertex whose only neighbor in the set is u is then a
+    member (else it would be a private closed neighbor of u) with exactly
+    one neighbor in the set, a leaf, so the high bits of u's mask are
+    exactly its leaf neighbors.
+    """
+    n, _, _, _, support = frame
+    low = (1 << n) - 1
+    return [s >> n for s in support if not s & low]
 
 
 def classify(graph: Graph, d: VertexSet) -> DominationClassification:
     """Tag every vertex with its domination status relative to ``d``."""
     _require_nonempty(graph)
     _check_universe(graph, d)
-    dmask = d.mask
-    dominated = _closed_union(graph, dmask)
-    totally = _open_union(graph, dmask)
+    n, dmask, dominated, totally, support = _frame(graph, d.mask)
+    # together the high halves of the masks hold the vertices with exactly
+    # one neighbor in the set, and the members among them are the leaves
+    alone = redundant = 0
+    for u, s in zip(_members(dmask), support):
+        alone |= s >> n
+        if not s & graph.full_mask:
+            redundant |= 1 << u
     return DominationClassification(
         graph=graph,
         dset=d,
-        dominated=VertexSet.from_mask(graph.n, dominated),
-        totally_dominated=VertexSet.from_mask(graph.n, totally),
-        barely_dominated=VertexSet.from_mask(graph.n, dominated & ~totally),
-        leaves=VertexSet.from_mask(graph.n, _leaves_mask(graph, dmask)),
-        redundant=VertexSet.from_mask(graph.n, _redundant_mask(graph, dmask)),
+        dominated=VertexSet.from_mask(n, dominated),
+        totally_dominated=VertexSet.from_mask(n, totally),
+        barely_dominated=VertexSet.from_mask(n, dominated & ~totally),
+        leaves=VertexSet.from_mask(n, dmask & alone),
+        redundant=VertexSet.from_mask(n, redundant),
     )
 
 
@@ -142,26 +142,17 @@ def private_closed_neighbors(graph: Graph, d: VertexSet, u: int) -> VertexSet:
     _check_universe(graph, d)
     if u not in d:
         raise ValueError(f"vertex {u} is not a member of the set")
-    _, private = _private_cover(graph, d.mask)
-    return VertexSet.from_mask(graph.n, graph.closed_mask(u) & private)
-
-
-def _is_minimal_dominating_mask(graph: Graph, dmask: int) -> bool:
-    dominated, private = _private_cover(graph, dmask)
-    if dominated != graph.full_mask:
-        return False
-    return all(graph.closed_mask(u) & private for u in iter_bits(dmask))
+    support = _frame(graph, d.mask)[4]
+    own = support[(d.mask & ((1 << u) - 1)).bit_count()]
+    return VertexSet.from_mask(graph.n, own & graph.full_mask)
 
 
 def is_minimal_dominating(graph: Graph, d: VertexSet) -> bool:
     """Dominating, and every member keeps a private closed neighbor."""
     _require_nonempty(graph)
     _check_universe(graph, d)
-    return _is_minimal_dominating_mask(graph, d.mask)
-
-
-def _is_irreducible_mask(graph: Graph, dmask: int) -> bool:
-    return _closed_union(graph, dmask) == graph.full_mask and all(_leaf_supports(graph, dmask))
+    frame = _frame(graph, d.mask)
+    return frame[2] == graph.full_mask and not _redundant_leaves(frame)
 
 
 def is_irreducible_dominating(graph: Graph, d: VertexSet) -> bool:
@@ -174,7 +165,8 @@ def is_irreducible_dominating(graph: Graph, d: VertexSet) -> bool:
     """
     _require_nonempty(graph)
     _check_universe(graph, d)
-    return _is_irreducible_mask(graph, d.mask)
+    frame = _frame(graph, d.mask)
+    return frame[2] == graph.full_mask and all(_redundant_leaves(frame))
 
 
 def is_irreducible_dominating_definitional(graph: Graph, d: VertexSet) -> bool:
@@ -195,16 +187,14 @@ def is_irreducible_dominating_definitional(graph: Graph, d: VertexSet) -> bool:
 
 
 def is_minimal_total_dominating(graph: Graph, d: VertexSet) -> bool:
-    """Total dominating, and no one-element deletion stays total dominating."""
+    """Total dominating, and no one-element deletion stays total dominating.
+
+    That is, every member is the only neighbor in the set of some vertex.
+    """
     _require_nonempty(graph)
     _check_universe(graph, d)
-    full = graph.full_mask
-    if _open_union(graph, d.mask) != full:
-        return False
-    for u in iter_bits(d.mask):
-        if _open_union(graph, d.mask ^ (1 << u)) == full:
-            return False
-    return True
+    n, _, _, tot, support = _frame(graph, d.mask)
+    return tot == graph.full_mask and all(s >> n for s in support)
 
 
 def _minimum_cover(graph: Graph, closed: bool, reach: int) -> int | None:
@@ -367,12 +357,10 @@ def _irreducible_frames(graph: Graph) -> Iterator[tuple]:
 
     Each leaf frame is yielded as the search popped it, so the search
     allocates nothing per set, and a caller that keeps only the members
-    never holds every frame's masks at once.  In a leaf frame the members
-    whose mask has no bit below n are the redundant members, the high bits
-    ``mask >> n`` of such a member are exactly its leaf neighbors (with no
-    private closed neighbor, it keeps no bit of a non-member), and
-    ``members & tot`` are the totally dominated members.  The search runs on
-    an explicit stack, so its depth is not limited by the recursion limit.
+    never holds every frame's masks at once.  A leaf frame equals
+    :func:`_frame` of its members, and :func:`_redundant_leaves` reads its
+    redundant members' leaf neighbors.  The search runs on an explicit
+    stack, so its depth is not limited by the recursion limit.
     The frames come in the reverse of canonical order within each size.
     """
     n = graph.n

@@ -8,9 +8,10 @@ operations here are pure functions and safe to share across threads.
 This is also the bitmask kernel the other modules share: the vertex-set
 universe check, the ascending members of a mask, the bulk allocation of
 slotted sets, the sort key that gives the canonical order, open and
-closed neighborhood unions of a mask, the universal vertices of a graph, the
-ascending removal pass that shrinks a set while a property holds, and the
-skeleton of the edge-list document formats are each defined here once.
+closed neighborhood unions of a mask, the bits a family of masks covers
+exactly once, the universal vertices of a graph, the ascending removal pass
+that shrinks a set while a property holds, and the skeleton of the
+edge-list document formats are each defined here once.
 """
 
 from __future__ import annotations
@@ -138,6 +139,8 @@ class VertexSet:
 
     @classmethod
     def from_mask(cls, universe_size: int, mask: int) -> "VertexSet":
+        if universe_size < 0:
+            raise ValueError("universe size must be non-negative")
         if mask < 0 or mask >> universe_size:
             raise ValueError("mask has bits outside the universe")
         self = cls.__new__(cls)
@@ -386,6 +389,15 @@ def _open_union(graph: Graph, mask: int) -> int:
 def _closed_union(graph: Graph, mask: int) -> int:
     """Union of the closed neighborhoods of the vertices in ``mask``."""
     return _open_union(graph, mask) | mask
+
+
+def _once_cover(masks: Iterable[int]) -> tuple[int, int]:
+    """The union of ``masks``, and the bits that exactly one of them holds."""
+    once = twice = 0
+    for m in masks:
+        twice |= once & m
+        once |= m
+    return once, once & ~twice
 
 
 def _minimalize(mask: int, holds: Callable[[int], bool]) -> int:

@@ -35,6 +35,7 @@ from .graphs import (
     _int_tokens,
     _key_table,
     _minimalize,
+    _once_cover,
     _parse_records,
     iter_bits,
 )
@@ -94,16 +95,18 @@ def is_transversal(h: Hypergraph, x: VertexSet) -> bool:
 
 
 def is_minimal_transversal(h: Hypergraph, x: VertexSet) -> bool:
-    """Transversal whose one-element deletions all fail (sufficient by monotonicity)."""
+    """Transversal whose one-element deletions all fail (sufficient by monotonicity).
+
+    A deletion fails exactly when the member alone hits some edge, so the
+    test reads the edges hit at all and those hit exactly once off the
+    members' edge-incidence masks.
+    """
     _check_universe(h, x)
     masks = h.edge_masks
-    if not all(x.mask & e for e in masks):
-        return False
-    for v in iter_bits(x.mask):
-        smaller = x.mask ^ (1 << v)
-        if all(smaller & e for e in masks):
-            return False
-    return True
+    incidence = _edge_incidence(h.n, masks)
+    members = [incidence[v] for v in iter_bits(x.mask)]
+    hit, critical = _once_cover(members)
+    return hit == (1 << len(masks)) - 1 and all(m & critical for m in members)
 
 
 def _minimize(masks: Iterable[int]) -> list[int]:

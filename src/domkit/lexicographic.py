@@ -30,8 +30,9 @@ from .graphs import (
 from .domination import (
     DEFAULT_ENUMERATION_CAP,
     _check_cap,
+    _frame,
     _irreducible_frames,
-    _leaf_supports,
+    _redundant_leaves,
     _require_nonempty,
     enumerate_minimal_dominating_sets,
     gamma,
@@ -39,7 +40,6 @@ from .domination import (
     alpha,
     upper_gamma,
     is_dominating,
-    is_irreducible_dominating,
     is_minimal_dominating,
 )
 
@@ -141,6 +141,9 @@ class ProductSet:
     __slots__ = ("_shape", "mask")
 
     def __init__(self, base_n: int, fiber_n: int, pairs: Iterable[tuple[int, int]]):
+        for what, size in (("base", base_n), ("fiber", fiber_n)):
+            if size < 0:
+                raise ValueError(f"{what} size must be non-negative")
         cleaned = sorted(set((int(g), int(h)) for g, h in pairs))
         mask = 0
         for g, h in cleaned:
@@ -289,16 +292,11 @@ def is_dominating_product(product: ProductGraph, d: ProductSet) -> bool:
     must dominate the whole fiber graph.
     """
     _check_product_set(product.base, product.fiber, d)
-    base = product.base
-    proj = d.projection()
-    if not is_dominating(base, proj):
+    _, members, dom, tot, _ = _frame(product.base, d.projection().mask)
+    if dom != product.base.full_mask:
         return False
     fibers = d.fibers()
-    for g in iter_bits(proj.mask):
-        if base.closed_mask(g) & proj.mask == 1 << g:  # barely dominated
-            if not is_dominating(product.fiber, fibers[g]):
-                return False
-    return True
+    return all(is_dominating(product.fiber, fibers[g]) for g in iter_bits(members & ~tot))
 
 
 @dataclass(frozen=True)
@@ -337,25 +335,21 @@ def _minimality(base: Graph, fiber_graph: Graph, d: ProductSet) -> ProductMinima
     :class:`ProductGraph` never builds the flattened product to ask.
     """
     _check_product_set(base, fiber_graph, d)
-    proj = d.projection()
+    frame = _frame(base, d.projection().mask)
+    _, members, dom, tot, _ = frame
+    supports = _redundant_leaves(frame)
     fibers = d.fibers()
 
-    cond_i = is_irreducible_dominating(base, proj)
+    cond_i = dom == base.full_mask and all(supports)
 
-    cond_ii = True
-    for g in iter_bits(proj.mask):
-        totally = bool(base.adj_mask(g) & proj.mask)
-        if totally:
-            if len(fibers[g]) != 1:
-                cond_ii = False
-                break
-        elif not is_minimal_dominating(fiber_graph, fibers[g]):
-            cond_ii = False
-            break
+    cond_ii = all(
+        len(fibers[g]) == 1 if tot >> g & 1 else is_minimal_dominating(fiber_graph, fibers[g])
+        for g in iter_bits(members)
+    )
 
     cond_iii = all(
         any(not is_dominating(fiber_graph, fibers[y]) for y in iter_bits(support))
-        for support in _leaf_supports(base, proj.mask)
+        for support in supports
     )
 
     return ProductMinimalityReport(cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii)
@@ -491,12 +485,10 @@ def enumerate_minimal_dominating_sets_product(
              tuple(b for h, b in enumerate(row) if universal >> h & 1))
             for row in pair_blocks
         ]
-        low = base.full_mask
-        for _, dmask, _, tot, support in _irreducible_frames(base):
-            # the leaf condition binds only with a universal fiber vertex; a
-            # redundant member's mask has no low bit, and its high bits are
-            # its leaf neighbors
-            supports = [s >> base_n for s in support if not s & low] if universal else None
+        for frame in _irreducible_frames(base):
+            _, dmask, _, tot, _ = frame
+            # the leaf condition binds only with a universal fiber vertex
+            supports = _redundant_leaves(frame) if universal else None
             totally = dmask & tot
             choice_lists = [pair_blocks[x] if totally >> x & 1 else set_blocks[x]
                             for x in _members(dmask)]

@@ -9,10 +9,10 @@ from domkit import bruteforce
 from domkit.domination import (
     EnumerationCapExceeded,
     _dominating_size_range,
+    _frame,
     _irreducible_frames,
-    _leaf_supports,
     _minimum_cover,
-    _redundant_mask,
+    _redundant_leaves,
     alpha,
     classify,
     enumerate_irreducible_dominating_sets,
@@ -74,6 +74,15 @@ class TestPredicates:
         assert is_minimal_total_dominating(c4, vs(4, [0, 1]))
         assert not is_minimal_total_dominating(p5, vs(5, [1, 2, 3, 4]))
 
+    def test_minimal_total_dominating_matches_brute_force_exhaustively(self):
+        # every subset of every catalogue graph, isolated vertices included
+        for n in range(1, 7):
+            for g in nonisomorphic_graphs(n):
+                want = {s.mask for s in bruteforce.minimal_total_dominating_sets(g)}
+                for mask in range(1 << n):
+                    got = is_minimal_total_dominating(g, VertexSet.from_mask(n, mask))
+                    assert got == (mask in want)
+
     @given(graph_with_subset(max_n=6))
     @settings(max_examples=200)
     def test_minimal_matches_single_deletion_definition(self, gs):
@@ -127,10 +136,9 @@ class TestPrivateNeighbors:
 class TestPrivateCoverMask:
     def test_matches_per_vertex_definition_exhaustively(self):
         # Redundancy, leaves, leaf supports, minimality and irreducibility all
-        # read private closed neighbors off one "dominated exactly once"
-        # mask; here they are spelled out vertex by vertex: v is a private
-        # closed neighbor of u when v is in N[u] and N[v] meets the set
-        # exactly in {u}.
+        # read private closed neighbors off the set's leaf frame; here they
+        # are spelled out vertex by vertex: v is a private closed neighbor of
+        # u when v is in N[u] and N[v] meets the set exactly in {u}.
         for n in range(1, 7):
             for g in nonisomorphic_graphs(n):
                 closed = [{w for w in range(n) if w == v or g.adjacent(v, w)} for v in range(n)]
@@ -153,7 +161,7 @@ class TestPrivateCoverMask:
                     info = classify(g, d)
                     assert set(info.redundant) == redundant
                     assert set(info.leaves) == leaves
-                    assert _leaf_supports(g, mask) == supports
+                    assert _redundant_leaves(_frame(g, mask)) == supports
                     assert is_minimal_dominating(g, d) == (dominating and not redundant)
                     assert is_irreducible_dominating(g, d) == irreducible
                     for u in members:
@@ -361,24 +369,23 @@ class TestEnumerators:
         assert got == [VertexSet.from_mask(1100, (1 << 1100) - 1)]
 
     def test_leaf_frames_carry_redundancy_leaves_and_total_domination(self):
-        # the product enumerator reads all three off the search's leaf frames
+        # the product enumerator reads all three off the search's leaf frames,
+        # which are the frames that _frame builds for any set
         rng = Random(23)
         cases = [path_graph(n) for n in range(1, 11)] + [cycle_graph(n) for n in range(3, 13)]
         cases += [random_graph(rng.randint(2, 13), rng, rng.choice((0.15, 0.3, 0.5)))
                   for _ in range(40)]
         for g in cases:
             n = g.n
-            low = g.full_mask
             frames = list(_irreducible_frames(g))
             masks = [frame[1] for frame in frames]
             want = enumerate_irreducible_dominating_sets(g)
             assert sorted(masks) == sorted(s.mask for s in want)
-            for i, dmask, _, tot, support in frames:
+            for frame in frames:
+                i, dmask, _, tot, support = frame
                 members = [u for u in range(n) if dmask >> u & 1]
                 assert i == n and len(support) == len(members)
-                redundant = [u for u, s in zip(members, support) if not s & low]
-                assert sum(1 << u for u in redundant) == _redundant_mask(g, dmask)
-                assert [s >> n for s in support if not s & low] == _leaf_supports(g, dmask)
+                assert _frame(g, dmask) == frame
                 totally = sum(1 << u for u in members if g.adj_mask(u) & dmask)
                 assert dmask & tot == totally
 

@@ -57,6 +57,12 @@ class TestVertexSet:
         with pytest.raises(ValueError):
             VertexSet.from_mask(3, 1 << 5)
 
+    def test_negative_universe_rejected(self):
+        for make in (lambda: VertexSet(-1), lambda: VertexSet.from_mask(-1, 0),
+                     lambda: VertexSet.from_mask(-3, 1)):
+            with pytest.raises(ValueError, match="^universe size must be non-negative$"):
+                make()
+
     def test_immutable(self):
         s = VertexSet(3, [0])
         with pytest.raises(AttributeError):

@@ -78,6 +78,21 @@ class TestBasics:
         with pytest.raises(ValueError):
             is_transversal(TRIANGLE, VertexSet(4, [0]))
 
+    def test_minimal_transversal_test_matches_brute_force_exhaustively(self):
+        # every subset, on random hypergraphs with and without edges, and
+        # with duplicate and nested edges that keep them non-Sperner
+        rng = Random(20)
+        for i in range(60):
+            n = rng.randint(1, 8)
+            masks = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(0, 6))]
+            if i % 2:
+                masks += [m if rng.random() < 0.5 else m | rng.randint(1, (1 << n) - 1)
+                          for m in masks[: rng.randint(1, 3)]]
+            h = Hypergraph(n, [VertexSet.from_mask(n, m) for m in masks])
+            want = {x.mask for x in bruteforce.minimal_transversals(h)}
+            for mask in range(1 << n):
+                assert is_minimal_transversal(h, VertexSet.from_mask(n, mask)) == (mask in want)
+
 
 class TestSpernerReduce:
     def test_containment_dropped(self):

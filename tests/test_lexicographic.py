@@ -133,6 +133,13 @@ class TestProductSet:
         with pytest.raises(ValueError):
             ProductSet(2, 2, [(2, 0)])
 
+    def test_negative_sizes_rejected(self):
+        cases = [((-1, 3), "base"), ((-2, -3), "base"), ((3, -1), "fiber"), ((0, -1), "fiber")]
+        for (base_n, fiber_n), what in cases:
+            for pairs in ([], [(0, 0)]):
+                with pytest.raises(ValueError, match=f"^{what} size must be non-negative$"):
+                    ProductSet(base_n, fiber_n, pairs)
+
     def test_mask_is_the_flattened_mask(self):
         d = ProductSet(5, 3, [(3, 1), (1, 1), (2, 0), (1, 1)])
         assert d.mask == d.flatten().mask == 1 << 4 | 1 << 6 | 1 << 10

@@ -104,3 +104,37 @@ def test_every_private_helper_is_used_in_the_package():
                        for where, node, name in references):
                 unused.append(f"{path.stem}.{helper.name}")
     assert unused == []
+
+
+def _module_tree(name: str) -> ast.Module:
+    path = PACKAGE / f"{name}.py"
+    return ast.parse(path.read_text(), str(path))
+
+
+def _names_in(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_oracles_stay_independent_of_the_fast_paths():
+    # the cross-checks compare the fast paths with the brute-force oracles,
+    # which mean something only while the oracles share none of their code:
+    # ``bruteforce`` imports the set types, bit iteration and the sort key
+    # alone, and the definitional irreducibility check builds no leaf frame
+    imports = {
+        (node.module, alias.name)
+        for node in ast.walk(_module_tree("bruteforce"))
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert imports == {
+        ("graphs", "Graph"), ("graphs", "VertexSet"), ("graphs", "iter_bits"),
+        ("graphs", "set_sort_key"), ("hypergraphs", "Hypergraph"),
+    }
+    assert not any(isinstance(node, ast.Import) for node in ast.walk(_module_tree("bruteforce")))
+    [definitional] = [
+        node for node in _module_tree("domination").body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "is_irreducible_dominating_definitional"
+    ]
+    assert not _names_in(definitional) & {"_frame", "_once_cover"}
