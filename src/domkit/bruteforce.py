@@ -1,8 +1,12 @@
 """Exhaustive reference implementations used to cross-check the fast paths.
 
-Everything here scans all 2^n subsets and applies definitions directly, with
-no shared logic with the search- or transversal-based implementations.  Only
-usable at desk scale; that is the point.
+The enumerators and parameters here scan all 2^n subsets and apply
+definitions directly, with no shared logic with the search- or
+transversal-based implementations.  Only usable at desk scale; that is the
+point.  The per-set predicates (``is_dominating``, ``is_minimal_dominating``,
+``is_minimal_total_dominating``) are not 2^n scans: they take the union of
+the members' neighborhoods, and one such union per one-member deletion, so
+they serve as oracles on sets of graphs far past desk scale too.
 """
 
 from __future__ import annotations
@@ -11,50 +15,69 @@ from .graphs import Graph, VertexSet, iter_bits, set_sort_key
 from .hypergraphs import Hypergraph
 
 
-def _closed_cover_table(graph: Graph) -> list[int]:
-    """cover[mask] = union of closed neighborhoods over the members of mask."""
-    n = graph.n
-    table = [0] * (1 << n)
-    for mask in range(1, 1 << n):
+def _cover_table(graph: Graph, closed: bool) -> list[int]:
+    """cover[mask] = union of the closed (or open) neighborhoods over the members of mask."""
+    row = graph.closed_mask if closed else graph.adj_mask
+    rows = [row(v) for v in range(graph.n)]
+    table = [0] * (1 << graph.n)
+    for mask in range(1, 1 << graph.n):
         low = mask & -mask
-        table[mask] = table[mask ^ low] | graph.closed_mask(low.bit_length() - 1)
+        table[mask] = table[mask ^ low] | rows[low.bit_length() - 1]
     return table
 
 
-def _open_cover_table(graph: Graph) -> list[int]:
-    n = graph.n
-    table = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | graph.adj_mask(low.bit_length() - 1)
-    return table
+def _minimal_covers(graph: Graph, closed: bool) -> list[VertexSet]:
+    """The sets that cover and stop covering when any one member is dropped."""
+    full = graph.full_mask
+    cover = _cover_table(graph, closed)
+    bits = [1 << u for u in range(graph.n)]
+    out = [
+        VertexSet.from_mask(graph.n, mask)
+        for mask, union in enumerate(cover)
+        if union == full and not any(cover[mask ^ b] == full for b in bits if mask & b)
+    ]
+    out.sort(key=set_sort_key)
+    return out
 
 
 def minimal_dominating_sets(graph: Graph) -> list[VertexSet]:
     """All inclusion-minimal dominating sets, by scanning every subset."""
-    full = graph.full_mask
-    cover = _closed_cover_table(graph)
-    out = []
-    for mask in range(1 << graph.n):
-        if cover[mask] != full:
-            continue
-        if all(cover[mask ^ (1 << u)] != full for u in iter_bits(mask)):
-            out.append(VertexSet.from_mask(graph.n, mask))
-    out.sort(key=set_sort_key)
-    return out
+    return _minimal_covers(graph, True)
 
 
 def minimal_total_dominating_sets(graph: Graph) -> list[VertexSet]:
+    return _minimal_covers(graph, False)
+
+
+def _union(graph: Graph, closed: bool, mask: int) -> int:
+    """The union of the closed (or open) neighborhoods of the members of mask."""
+    row = graph.closed_mask if closed else graph.adj_mask
+    union = 0
+    for v in iter_bits(mask):
+        union |= row(v)
+    return union
+
+
+def _is_minimal_cover(graph: Graph, d: VertexSet, closed: bool) -> bool:
     full = graph.full_mask
-    cover = _open_cover_table(graph)
-    out = []
-    for mask in range(1 << graph.n):
-        if cover[mask] != full:
-            continue
-        if all(cover[mask ^ (1 << u)] != full for u in iter_bits(mask)):
-            out.append(VertexSet.from_mask(graph.n, mask))
-    out.sort(key=set_sort_key)
-    return out
+    return _union(graph, closed, d.mask) == full and all(
+        _union(graph, closed, d.mask ^ (1 << u)) != full for u in iter_bits(d.mask)
+    )
+
+
+def is_dominating(graph: Graph, d: VertexSet) -> bool:
+    """Every vertex is a member of ``d`` or adjacent to one."""
+    return _union(graph, True, d.mask) == graph.full_mask
+
+
+def is_minimal_dominating(graph: Graph, d: VertexSet) -> bool:
+    """Dominating, and no one-member deletion is dominating."""
+    return _is_minimal_cover(graph, d, True)
+
+
+def is_minimal_total_dominating(graph: Graph, d: VertexSet) -> bool:
+    """Total dominating, and no one-member deletion is total dominating."""
+    return _is_minimal_cover(graph, d, False)
 
 
 def irreducible_dominating_sets(graph: Graph) -> list[VertexSet]:
@@ -64,8 +87,8 @@ def irreducible_dominating_sets(graph: Graph) -> list[VertexSet]:
     the set of totally dominated vertices unchanged.
     """
     full = graph.full_mask
-    closed = _closed_cover_table(graph)
-    opened = _open_cover_table(graph)
+    closed = _cover_table(graph, True)
+    opened = _cover_table(graph, False)
     out = []
     for mask in range(1 << graph.n):
         if closed[mask] != full:
@@ -105,7 +128,7 @@ def maximal_independent_sets(graph: Graph) -> list[VertexSet]:
 
 def gamma(graph: Graph) -> int:
     full = graph.full_mask
-    cover = _closed_cover_table(graph)
+    cover = _cover_table(graph, True)
     return min(
         mask.bit_count() for mask in range(1 << graph.n) if cover[mask] == full
     )
@@ -113,7 +136,7 @@ def gamma(graph: Graph) -> int:
 
 def gamma_t(graph: Graph) -> int:
     full = graph.full_mask
-    cover = _open_cover_table(graph)
+    cover = _cover_table(graph, False)
     sizes = [mask.bit_count() for mask in range(1 << graph.n) if cover[mask] == full]
     if not sizes:
         raise ValueError("total domination undefined: the graph has an isolated vertex")

@@ -23,11 +23,8 @@ from .domination import (
     enumerate_irreducible_dominating_sets,
     gamma,
     gamma_t,
-    is_dominating,
     is_irreducible_dominating,
     is_irreducible_dominating_definitional,
-    is_minimal_dominating,
-    is_minimal_total_dominating,
     neighborhood_hypergraph,
 )
 from .families import (
@@ -167,62 +164,46 @@ def _product_set_cases(scale: Scale, rng: Random):
             yield g, h, product, ProductSet.from_flat(product, VertexSet.from_mask(flat_n, m))
 
 
-def _flat_dominates_vertex(product, flat_d: VertexSet, flat_v: int) -> bool:
-    return bool(product.graph.closed_mask(flat_v) & flat_d.mask)
-
-
-def check_product_vertex_domination(scale: Scale, rng: Random) -> CheckResult:
-    """Per-vertex product domination against flat adjacency, plus the claim
-    that a dominated pair always has its base coordinate dominated."""
-    bad = 0
-    instances = 0
-    for g, _, product, d in _product_set_cases(scale, rng):
-        instances += 1
+def check_product_sets(scale: Scale, rng: Random) -> list[CheckResult]:
+    """One walk over the product-set cases, three scoreboard lines: per-vertex
+    product domination against flat adjacency, with a dominated pair's base
+    coordinate dominated; product domination and minimality (with its automatic
+    third condition, and the constructive enumerator) against flat brute force."""
+    vertex_bad = domination_bad = minimality_bad = cases = 0
+    for g, h, product, d in _product_set_cases(scale, rng):
+        cases += 1
+        flat = product.graph
         flat_d = d.flatten()
         proj = d.projection()
-        for flat_v in range(product.graph.n):
+        for flat_v in range(flat.n):
             pair = product.decode(flat_v)
-            got = dominates_product_vertex(product, d, pair)
-            want = _flat_dominates_vertex(product, flat_d, flat_v)
-            if got != want:
-                bad += 1
+            want = bool(flat.closed_mask(flat_v) & flat_d.mask)
+            if dominates_product_vertex(product, d, pair) != want:
+                vertex_bad += 1
             if want and not g.closed_mask(pair[0]) & proj.mask:
-                bad += 1
-    return _result("product vertex domination decomposes through projections", bad, instances)
-
-
-def check_product_domination(scale: Scale, rng: Random) -> CheckResult:
-    bad = 0
-    instances = 0
-    for _, _, product, d in _product_set_cases(scale, rng):
-        instances += 1
-        if is_dominating_product(product, d) != is_dominating(product.graph, d.flatten()):
-            bad += 1
-    return _result("product domination via projection and barely-dominated fibers", bad, instances)
-
-
-def check_product_minimality(scale: Scale, rng: Random) -> CheckResult:
-    """Condition-based product minimality against the flat predicate, the
-    automatic third condition without universal fiber vertices, and the
-    constructive enumerator against flat brute force."""
-    bad = 0
-    instances = 0
-    for _, h, product, d in _product_set_cases(scale, rng):
-        instances += 1
+                vertex_bad += 1
+        if is_dominating_product(product, d) != bruteforce.is_dominating(flat, flat_d):
+            domination_bad += 1
         report = check_minimal_product(product, d)
-        if report.minimal != is_minimal_dominating(product.graph, d.flatten()):
-            bad += 1
+        if report.minimal != bruteforce.is_minimal_dominating(flat, flat_d):
+            minimality_bad += 1
         h_universal = any(h.closed_mask(v) == h.full_mask for v in range(h.n))
         if not h_universal and report.cond_i and report.cond_ii and not report.cond_iii:
-            bad += 1
-    for g, h in itertools.product(
+            minimality_bad += 1
+    pairs = list(itertools.product(
         _family_up_to(scale.enum_base_max), _family_up_to(scale.enum_fiber_max)
-    ):
-        instances += 1
+    ))
+    for g, h in pairs:
         got = {d.flatten() for d in enumerate_minimal_dominating_sets_product(g, h)}
         if got != set(bruteforce.minimal_dominating_sets(lex_product(g, h).graph)):
-            bad += 1
-    return _result("product minimality via irreducible projection and fiber roles", bad, instances)
+            minimality_bad += 1
+    return [
+        _result("product vertex domination decomposes through projections", vertex_bad, cases),
+        _result("product domination via projection and barely-dominated fibers",
+                domination_bad, cases),
+        _result("product minimality via irreducible projection and fiber roles",
+                minimality_bad, cases + len(pairs)),
+    ]
 
 
 def check_gamma_formula(scale: Scale, rng: Random) -> CheckResult:
@@ -302,35 +283,44 @@ def check_upper_domination_gap(scale: Scale, rng: Random) -> CheckResult:
     )
 
 
+def _witnesses_fail(graph: Graph, report) -> bool:
+    """A negative report's witnesses are not two minimal dominating sets of
+    ``graph`` of different sizes, by the brute-force predicate."""
+    small, large = report.witness_small, report.witness_large
+    return (
+        small is None
+        or large is None
+        or len(small) == len(large)
+        or not bruteforce.is_minimal_dominating(graph, small)
+        or not bruteforce.is_minimal_dominating(graph, large)
+    )
+
+
 def check_product_recognition(scale: Scale, rng: Random) -> CheckResult:
-    bad = 0
-    instances = 0
+    """Factor-based recognition against enumeration on the flattened product,
+    with the witnesses of each negative verdict re-checked there."""
     connected = []
     for n in range(2, scale.pair_factor_max + 1):
         connected.extend(nonisomorphic_graphs(n, connected=True))
     fibers = []
     for n in range(2, scale.pair_factor_max + 1):
         fibers.extend(nonisomorphic_graphs(n))
-    for g in connected:
-        for h in fibers:
-            instances += 1
-            got = is_well_dominated_lex(g, h).verdict
-            want = is_well_dominated_enum(lex_product(g, h).graph).verdict
-            if got != want:
-                bad += 1
+    pairs = [(g, h) for g in connected for h in fibers]
     for _ in range(scale.disconnected_products):
         parts = [random_graph(rng.randint(1, 3), rng) for _ in range(rng.randint(2, 3))]
         g = parts[0]
         for p in parts[1:]:
             g = disjoint_union(g, p)
-        h = random_graph(rng.randint(2, 3), rng)
-        instances += 1
+        pairs.append((g, random_graph(rng.randint(2, 3), rng)))
+    bad = 0
+    for g, h in pairs:
         flat = lex_product(g, h).graph
-        got = is_well_dominated_lex(g, h).verdict
-        want = is_well_dominated_enum(flat, cap=flat.n).verdict
-        if got != want:
+        rep = is_well_dominated_lex(g, h)
+        if rep.verdict != is_well_dominated_enum(flat, cap=flat.n).verdict:
             bad += 1
-    return _result("well-dominated products decided from the factors", bad, instances)
+        if not rep.verdict and _witnesses_fail(flat, rep):
+            bad += 1
+    return _result("well-dominated products decided from the factors", bad, len(pairs))
 
 
 def check_well_covered_alpha2(scale: Scale, rng: Random) -> CheckResult:
@@ -376,13 +366,7 @@ def check_gamma2_recognition(scale: Scale, rng: Random) -> CheckResult:
         # a second oracle, independent of the triangle characterization
         if rep.verdict != all_minimal_transversals_have_size(neighborhood_hypergraph(g), 2)[0]:
             bad += 1
-        if not rep.verdict and (
-            rep.witness_small is None
-            or rep.witness_large is None
-            or len(rep.witness_small) == len(rep.witness_large)
-            or not is_minimal_dominating(g, rep.witness_small)
-            or not is_minimal_dominating(g, rep.witness_large)
-        ):
+        if not rep.verdict and _witnesses_fail(g, rep):
             bad += 1
     prism = complement(cycle_graph(6))
     rep = is_well_dominated_gamma2(prism)
@@ -414,10 +398,7 @@ def check_bounded_k_recognition(scale: Scale, rng: Random) -> CheckResult:
         rep = is_well_dominated_bounded_k(g, k)
         if rep.verdict != is_well_dominated_enum(g).verdict:
             bad += 1
-        if not rep.verdict and (
-            len(rep.witness_large) == k
-            or not is_minimal_dominating(g, rep.witness_large)
-        ):
+        if not rep.verdict and (len(rep.witness_small) != k or _witnesses_fail(g, rep)):
             bad += 1
     return _result("bounded domination number recognition via transversal sizes", bad, instances)
 
@@ -498,12 +479,12 @@ def check_irreducible_sets(scale: Scale, rng: Random) -> CheckResult:
                 char = is_irreducible_dominating(g, d)
                 if char != is_irreducible_dominating_definitional(g, d):
                     bad += 1
-                if is_minimal_dominating(g, d) and not char:
+                if bruteforce.is_minimal_dominating(g, d) and not char:
                     bad += 1
-                if is_minimal_total_dominating(g, d) and not char:
+                if bruteforce.is_minimal_total_dominating(g, d) and not char:
                     bad += 1
                 if (
-                    is_dominating(g, d)
+                    bruteforce.is_dominating(g, d)
                     and all((g.adj_mask(v) & mask).bit_count() <= 1 for v in iter_bits(mask))
                     and not char
                 ):
@@ -577,9 +558,7 @@ def check_worked_example(scale: Scale, rng: Random) -> CheckResult:
 
 
 ALL_CHECKS = [
-    check_product_vertex_domination,
-    check_product_domination,
-    check_product_minimality,
+    check_product_sets,
     check_gamma_formula,
     check_upper_domination_bound,
     check_upper_domination_gap,
@@ -596,8 +575,14 @@ ALL_CHECKS = [
 
 
 def run_all_checks(scale_name: str = "small", seed: int = 0) -> list[CheckResult]:
+    """Every check's scoreboard lines, in order.  A check that raises is
+    reported as one failed line named after it, and the rest still run."""
     scale = SCALES[scale_name]
     results = []
     for check in ALL_CHECKS:
-        results.append(check(scale, Random(seed)))
+        try:
+            result = check(scale, Random(seed))
+        except Exception as exc:
+            result = CheckResult(check.__name__, False, 0, f"{type(exc).__name__}: {exc}")
+        results.extend(result if isinstance(result, list) else [result])
     return results

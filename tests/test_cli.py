@@ -557,12 +557,30 @@ class TestVerify:
         # a fast path that calls every set dominating disagrees with the flat
         # oracle on each of the 3345 non-dominating sets
         monkeypatch.setattr(verification, "is_dominating_product", lambda product, d: True)
-        result = verification.check_product_domination(verification.SCALES["small"], Random(0))
-        assert (result.passed, result.detail) == (False, "3345 mismatches")
+        lines = verification.check_product_sets(verification.SCALES["small"], Random(0))
+        assert [(r.passed, r.detail) for r in lines] == [
+            (True, ""), (False, "3345 mismatches"), (True, "")
+        ]
         name = "product domination via projection and barely-dominated fibers [9362 instances]"
         assert main(["verify", "--scale", "small"]) == 1
         assert capsys.readouterr().out == (
             SMALL_SCOREBOARD.replace(f"PASS {name}\n", f"FAIL {name} (3345 mismatches)\n")
+            .replace("result: 15/15", "result: 14/15")
+        )
+
+    def test_a_check_that_raises_is_reported_and_the_rest_still_run(self, monkeypatch, capsys):
+        from domkit import verification
+
+        def check_upper_domination_gap(scale, rng):
+            raise KeyError(0)
+
+        checks = list(verification.ALL_CHECKS)
+        checks[checks.index(verification.check_upper_domination_gap)] = check_upper_domination_gap
+        monkeypatch.setattr(verification, "ALL_CHECKS", checks)
+        assert main(["verify", "--scale", "small"]) == 1
+        gap = next(line for line in SMALL_SCOREBOARD.splitlines(True) if "gap" in line)
+        assert capsys.readouterr().out == (
+            SMALL_SCOREBOARD.replace(gap, "FAIL check_upper_domination_gap [0 instances] (KeyError: 0)\n")
             .replace("result: 15/15", "result: 14/15")
         )
 

@@ -407,3 +407,18 @@ class TestCap:
 
     def test_cap_override(self, p5):
         assert enumerate_minimal_dominating_sets(p5, cap=5)
+
+
+class TestBruteForcePredicates:
+    def test_predicates_match_the_subset_scans(self):
+        # every subset of every catalogue graph, isolated vertices included
+        for n in range(1, 7):
+            for g in nonisomorphic_graphs(n):
+                minimal = {s.mask for s in bruteforce.minimal_dominating_sets(g)}
+                total = {s.mask for s in bruteforce.minimal_total_dominating_sets(g)}
+                cover = bruteforce._cover_table(g, True)
+                for mask in range(1 << n):
+                    d = VertexSet.from_mask(n, mask)
+                    assert bruteforce.is_minimal_dominating(g, d) == (mask in minimal)
+                    assert bruteforce.is_minimal_total_dominating(g, d) == (mask in total)
+                    assert bruteforce.is_dominating(g, d) == (cover[mask] == g.full_mask)

@@ -120,14 +120,18 @@ def test_oracles_stay_independent_of_the_fast_paths():
     # the cross-checks compare the fast paths with the brute-force oracles,
     # which mean something only while the oracles share none of their code:
     # ``bruteforce`` imports the set types, bit iteration and the sort key
-    # alone, and the definitional irreducibility check builds no leaf frame
-    imports = {
-        (node.module, alias.name)
-        for node in ast.walk(_module_tree("bruteforce"))
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for alias in node.names
-    }
-    assert imports == {
+    # alone, the definitional irreducibility check builds no leaf frame, and
+    # ``verification`` takes the per-set predicates of its oracle sides from
+    # ``bruteforce``, not from ``domination``
+    def from_imports(module):
+        return {
+            (node.module, alias.name)
+            for node in ast.walk(_module_tree(module))
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+
+    assert from_imports("bruteforce") == {
         ("graphs", "Graph"), ("graphs", "VertexSet"), ("graphs", "iter_bits"),
         ("graphs", "set_sort_key"), ("hypergraphs", "Hypergraph"),
     }
@@ -138,3 +142,7 @@ def test_oracles_stay_independent_of_the_fast_paths():
         and node.name == "is_irreducible_dominating_definitional"
     ]
     assert not _names_in(definitional) & {"_frame", "_once_cover"}
+    assert not from_imports("verification") & {
+        ("domination", name)
+        for name in ("is_dominating", "is_minimal_dominating", "is_minimal_total_dominating")
+    }
