@@ -4,9 +4,10 @@ The enumerators and parameters here scan all 2^n subsets and apply
 definitions directly, with no shared logic with the search- or
 transversal-based implementations.  Only usable at desk scale; that is the
 point.  The per-set predicates (``is_dominating``, ``is_minimal_dominating``,
-``is_minimal_total_dominating``) are not 2^n scans: they take the union of
-the members' neighborhoods, and one such union per one-member deletion, so
-they serve as oracles on sets of graphs far past desk scale too.
+``is_minimal_total_dominating``, ``is_minimal_transversal``) are not 2^n
+scans: they apply the definition to the set and, for minimality, to each of
+its one-member deletions, so they serve as oracles on sets of inputs far
+past desk scale too.
 """
 
 from __future__ import annotations
@@ -155,16 +156,22 @@ def alpha(graph: Graph) -> int:
     return best
 
 
+def _hits_minimally(edges: tuple[int, ...], mask: int) -> bool:
+    """``mask`` hits every edge, and no one-member deletion of it does."""
+    return all(mask & e for e in edges) and all(
+        not all((mask ^ (1 << u)) & e for e in edges) for u in iter_bits(mask)
+    )
+
+
+def is_minimal_transversal(h: Hypergraph, x: VertexSet) -> bool:
+    """Every edge is hit, and no one-member deletion still hits every edge."""
+    return _hits_minimally(h.edge_masks, x.mask)
+
+
 def minimal_transversals(h: Hypergraph) -> list[VertexSet]:
     """All minimal transversals by scanning every subset of the universe."""
     edges = h.edge_masks
-    out = []
-    for mask in range(1 << h.n):
-        if not all(mask & e for e in edges):
-            continue
-        if all(
-            not all((mask ^ (1 << u)) & e for e in edges) for u in iter_bits(mask)
-        ):
-            out.append(VertexSet.from_mask(h.n, mask))
+    out = [VertexSet.from_mask(h.n, mask) for mask in range(1 << h.n)
+           if _hits_minimally(edges, mask)]
     out.sort(key=set_sort_key)
     return out

@@ -9,9 +9,10 @@ This is also the bitmask kernel the other modules share: the vertex-set
 universe check, the ascending members of a mask, the bulk allocation of
 slotted sets, the sort key that gives the canonical order, open and
 closed neighborhood unions of a mask, the bits a family of masks covers
-exactly once, the universal vertices of a graph, the ascending removal pass
-that shrinks a set while a property holds, and the skeleton of the
-edge-list document formats are each defined here once.
+exactly once, the layout of many masks packed in one int as guarded fields
+with its zero-field test, the universal vertices of a graph, the ascending
+removal pass that shrinks a set while a property holds, and the skeleton of
+the edge-list document formats are each defined here once.
 """
 
 from __future__ import annotations
@@ -398,6 +399,30 @@ def _once_cover(masks: Iterable[int]) -> tuple[int, int]:
         twice |= once & m
         once |= m
     return once, once & ~twice
+
+
+def _guarded_fields(width: int, count: int) -> tuple[int, int, int]:
+    """The first ``count`` fields of an int that packs one mask per field.
+
+    Field i is bits i * width to i * width + width - 1: a mask of
+    ``width - 1`` bits under a top guard bit that stays zero.  Returns
+    ``(ones, fill, guard)`` over the first ``count`` fields: bit 0 of each,
+    so that ``mask * ones`` repeats a mask in every field; the all-ones mask
+    in each; and the guard bit of each.
+
+    Zero-field test: a packed int p whose fields from ``count`` on are zero
+    has no zero field below ``count`` exactly when
+    ``(p + fill) & guard == guard``.  Adding the all-ones mask to a field
+    carries into its guard exactly when the field is not zero, and never
+    past the guard.
+    """
+    ones, span = min(count, 1), 1
+    while span < count:  # doubling: time linear in the result's length
+        ones |= ones << width * span
+        span *= 2
+    ones &= (1 << width * count) - 1
+    guard = ones << width - 1
+    return ones, guard - ones, guard
 
 
 def _minimalize(mask: int, holds: Callable[[int], bool]) -> int:

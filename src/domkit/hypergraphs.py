@@ -32,6 +32,7 @@ from .graphs import (
     GraphParseError,
     VertexSet,
     _check_universe,
+    _guarded_fields,
     _int_tokens,
     _key_table,
     _minimalize,
@@ -135,6 +136,12 @@ def _edge_incidence(n: int, edges: list[int] | tuple[int, ...]) -> list[int]:
     return incidence
 
 
+# _mmcs tables its clear masks and its zero-field test masks for the first
+# sizes only, up to about this many bits in all, and a deeper node builds its
+# own: a deep search of a wide hypergraph would need n * depth * m bits.
+_FIELD_TABLE_BITS = 1 << 22
+
+
 def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
     """The minimal transversals of ``h`` as canonical keys, in search order.
 
@@ -155,20 +162,37 @@ def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
     A frame holds its set as its key (see :func:`graphs._key_table`), so
     callers put the keys in canonical order with one plain sort, read a
     size as ``key >> 2n``, and wrap the keys without a key tuple per set.
+
+    It holds its members' critical edges as one int of guarded fields (see
+    :func:`graphs._guarded_fields`): one field of m + 1 bits per member, in
+    the order the members were added, m being the number of distinct edges.
+    A child clears v's edges in every field with one mask, finds a member
+    left without a critical edge with the zero-field test, and puts its new
+    member's field above the others, so it costs a constant number of int
+    operations, not one per member.  The clear masks and the test's masks
+    are tabled for the first sizes, up to about ``_FIELD_TABLE_BITS`` bits in
+    all; a node past them builds its own.
     """
     n = h.n
+    shift = 2 * n
     empty, entries = _key_table(n)
     edges = sorted(set(h.edge_masks))
     incidence = _edge_incidence(n, edges)
-    # frame: the set's key, each member's critical edges, uncovered edges,
-    # candidates
-    stack = [(empty, [], (1 << len(edges)) - 1, (1 << n) - 1)]
+    width = len(edges) + 1
+    tabled = min(n, len(edges), _FIELD_TABLE_BITS // ((n + 1) * width))
+    tables = [_guarded_fields(width, s) for s in range(tabled + 1)]
+    ones, fill, _ = tables[tabled]
+    # keep[v]: the mask bits of the tabled fields, less v's edges
+    keep = [fill ^ e * ones for e in incidence]
+    # frame: the set's key, its members' critical edges as guarded fields,
+    # uncovered edges, candidates
+    stack = [(empty, 0, (1 << len(edges)) - 1, (1 << n) - 1)]
     while stack:
         chosen, crit, uncov, cand = stack.pop()
         if not uncov:
             yield chosen
             continue
-        size = len(crit)
+        size = chosen >> shift
         if size + 1 >= bounds[0] and size + uncov.bit_count() <= bounds[1]:
             continue
         branch, fewest, rest = 0, n + 1, uncov
@@ -182,15 +206,25 @@ def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
                 if not count:  # a dead end: no vertex can cover this edge
                     break
         cand &= ~branch
+        if size < tabled:
+            _, lift, guards = tables[size]
+            clears = keep
+        else:
+            unit, lift, guards = _guarded_fields(width, size)
+            clears = {}
+            for v in iter_bits(branch):
+                # v's edges in every field; the shift keeps the product small
+                low = (incidence[v] & -incidence[v]).bit_length() - 1
+                clears[v] = lift ^ (incidence[v] >> low) * unit << low
+        at = width * size
         while branch:
             low = branch & -branch
             branch ^= low
             v = low.bit_length() - 1
-            hit = incidence[v]
-            kept = [c & ~hit for c in crit]
-            if 0 not in kept:
-                kept.append(uncov & hit)
-                stack.append((chosen + entries[v], kept, uncov & ~hit, cand))
+            kept = crit & clears[v]
+            if kept + lift & guards == guards:
+                hit = incidence[v]
+                stack.append((chosen + entries[v], kept | (uncov & hit) << at, uncov & ~hit, cand))
             cand |= low
 
 
@@ -297,28 +331,45 @@ def _oversized_transversal(n: int, edges: tuple[int, ...], incidence: list[int],
     ascending combination order, each frame carrying its members' private
     edges and the edges hit so far; a child in which some member would lose
     its last private edge is cut, as no superset regains it.
+
+    The private edges are one int of guarded fields (see
+    :func:`graphs._guarded_fields`): one field of m + 1 bits per member, in
+    ascending member order, m being the number of edges.  As in
+    :func:`_mmcs`, a child clears v's edges in every field with one mask and
+    finds a member left without a private edge with the zero-field test.
+    The fields are unpacked into a list only at a leaf, for
+    :func:`_fill_around`.
     """
     size = k + 1
     full = (1 << n) - 1
-    # frame: members, their private edges in member order, edges hit, next candidate
-    stack: list[tuple[int, list[int], int, int]] = [(0, [], 0, 0)]
+    width = len(edges) + 1
+    tables = [_guarded_fields(width, s) for s in range(size + 1)]
+    ones, fill, _ = tables[size]
+    keep = [fill ^ e * ones for e in incidence]
+    every = (1 << width - 1) - 1
+    # frame: members, their private edges as guarded fields, edges hit, next
+    # candidate
+    stack: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
     while stack:
         members, private, hit, start = stack.pop()
-        if len(private) == size:
+        depth = members.bit_count()
+        if depth == size:
             missed = [edges[i] for i in range(len(edges)) if not hit >> i & 1]
-            grown = _fill_around(edges, full, members, private, missed)
+            fields = [private >> width * j & every for j in range(size)]
+            grown = _fill_around(edges, full, members, fields, missed)
             if grown is not None:
                 return _minimalize(grown, lambda m: all(m & e for e in edges))
             continue
+        _, lift, guards = tables[depth]
+        at = width * depth
         children = []
-        for v in range(start, n - size + len(private) + 1):
+        for v in range(start, n - size + depth + 1):
             own = incidence[v] & ~hit
             if not own:
                 continue
-            kept = [p & ~incidence[v] for p in private]
-            if 0 not in kept:
-                kept.append(own)
-                children.append((members | 1 << v, kept, hit | incidence[v], v + 1))
+            kept = private & keep[v]
+            if kept + lift & guards == guards:
+                children.append((members | 1 << v, kept | own << at, hit | incidence[v], v + 1))
         stack.extend(reversed(children))
     return None
 

@@ -584,6 +584,30 @@ class TestVerify:
             .replace("result: 15/15", "result: 14/15")
         )
 
+    def test_a_check_that_raises_fails_every_line_it_owns(self, monkeypatch, capsys):
+        from domkit import verification
+
+        def check_product_sets(scale, rng):
+            raise ValueError("no cases")
+
+        checks = list(verification.ALL_CHECKS)
+        checks[checks.index(verification.check_product_sets)] = check_product_sets
+        monkeypatch.setattr(verification, "ALL_CHECKS", checks)
+        assert main(["verify", "--scale", "small"]) == 1
+        out = capsys.readouterr().out
+        expected = SMALL_SCOREBOARD.replace("result: 15/15", "result: 12/15")
+        for line in SMALL_SCOREBOARD.splitlines(True)[1:4]:
+            name = line.removeprefix("PASS ").partition(" [")[0]
+            expected = expected.replace(line, f"FAIL {name} [0 instances] (ValueError: no cases)\n")
+        assert out == expected
+        assert [line.partition(" [")[0] for line in out.splitlines()[1:4]] == [
+            f"FAIL {name}" for name in verification.PRODUCT_SET_LINES
+        ]
+        assert main(["verify", "--scale", "small", "--json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert len(checks) == 15
+        assert [c["name"] for c in checks if not c["passed"]] == list(verification.PRODUCT_SET_LINES)
+
     def test_a_failing_bound_reports_violations(self, monkeypatch):
         from domkit import verification
 

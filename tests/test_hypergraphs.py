@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domkit.hypergraphs
 from domkit import bruteforce
 from domkit.families import (
     cycle_graph,
@@ -91,7 +92,9 @@ class TestBasics:
             h = Hypergraph(n, [VertexSet.from_mask(n, m) for m in masks])
             want = {x.mask for x in bruteforce.minimal_transversals(h)}
             for mask in range(1 << n):
-                assert is_minimal_transversal(h, VertexSet.from_mask(n, mask)) == (mask in want)
+                x = VertexSet.from_mask(n, mask)
+                assert is_minimal_transversal(h, x) == (mask in want)
+                assert bruteforce.is_minimal_transversal(h, x) == (mask in want)
 
 
 class TestSpernerReduce:
@@ -227,6 +230,54 @@ class TestBoundedSize:
         start = time.perf_counter()
         assert minimal_transversals_up_to_size(h, 5) == []
         assert time.perf_counter() - start < 0.5
+
+
+def _wide_hypergraphs(count, seed):
+    """Hypergraphs on at most 12 vertices with 25 to 70 edges.
+
+    A Sperner base of equal-size edges, then duplicates and supersets of
+    some of them, so that the input is not Sperner but its reduction still
+    has 25 or more edges.  A field of the packed searches has one bit per
+    distinct edge plus a guard, 26 bits or more, so fields cross the 30-bit
+    digits of an int.
+    """
+    rng = Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(9, 12)
+        base = rng.sample(list(itertools.combinations(range(n), rng.randint(3, 5))), 25)
+        base = [VertexSet(n, e).mask for e in base]
+        base += rng.sample(base, rng.randint(0, 15))
+        nested = [m | 1 << rng.randrange(n) for m in rng.sample(base, rng.randint(0, 30))]
+        out.append(Hypergraph(n, [VertexSet.from_mask(n, m) for m in base + nested]))
+    return out
+
+
+class TestPackedFields:
+    """The searches that pack one guarded field per member, with fields past
+    one digit, against subset brute force; with the clear masks tabled for
+    every size, for the first sizes only, and for none."""
+
+    @pytest.mark.parametrize("table_bits", [None, 1500, 0])
+    def test_wide_fields_match_brute_force(self, table_bits, monkeypatch):
+        if table_bits is not None:
+            monkeypatch.setattr(domkit.hypergraphs, "_FIELD_TABLE_BITS", table_bits)
+        for h in _wide_hypergraphs(20, 25):
+            assert 25 <= len(h.hyperedges) <= 70
+            every = bruteforce.minimal_transversals(h)
+            sizes = {len(x) for x in every}
+            assert enumerate_minimal_transversals(h) == every
+            assert _transversal_size_range(h) == (min(sizes), max(sizes))
+            for k in range(h.n + 1):
+                assert minimal_transversals_up_to_size(h, k) == [x for x in every if len(x) <= k]
+            reduced = sperner_reduce(h)
+            assert len(reduced.hyperedges) >= 25
+            for k in sorted(sizes | {min(sizes) + 1}):
+                ok, witness = all_minimal_transversals_have_size(reduced, k)
+                assert ok == (sizes == {k})
+                if not ok:
+                    assert bruteforce.is_minimal_transversal(reduced, witness)
+                    assert len(witness) != k
 
 
 class TestHittingSet:

@@ -122,7 +122,7 @@ def test_oracles_stay_independent_of_the_fast_paths():
     # ``bruteforce`` imports the set types, bit iteration and the sort key
     # alone, the definitional irreducibility check builds no leaf frame, and
     # ``verification`` takes the per-set predicates of its oracle sides from
-    # ``bruteforce``, not from ``domination``
+    # ``bruteforce``, not from ``domination`` or ``hypergraphs``
     def from_imports(module):
         return {
             (node.module, alias.name)
@@ -143,6 +143,6 @@ def test_oracles_stay_independent_of_the_fast_paths():
     ]
     assert not _names_in(definitional) & {"_frame", "_once_cover"}
     assert not from_imports("verification") & {
-        ("domination", name)
-        for name in ("is_dominating", "is_minimal_dominating", "is_minimal_total_dominating")
+        ("domination", "is_dominating"), ("domination", "is_minimal_dominating"),
+        ("domination", "is_minimal_total_dominating"), ("hypergraphs", "is_minimal_transversal"),
     }
