@@ -401,28 +401,27 @@ def _once_cover(masks: Iterable[int]) -> tuple[int, int]:
     return once, once & ~twice
 
 
-def _guarded_fields(width: int, count: int) -> tuple[int, int, int]:
-    """The first ``count`` fields of an int that packs one mask per field.
+def _guarded_fields(width: int, count: int) -> int:
+    """Bit 0 of each of the first ``count`` fields of an int of guarded fields.
 
-    Field i is bits i * width to i * width + width - 1: a mask of
-    ``width - 1`` bits under a top guard bit that stays zero.  Returns
-    ``(ones, fill, guard)`` over the first ``count`` fields: bit 0 of each,
-    so that ``mask * ones`` repeats a mask in every field; the all-ones mask
-    in each; and the guard bit of each.
+    Such an int packs one mask per field: field i is bits i * width to
+    i * width + width - 1, a mask of ``width - 1`` bits under a top guard bit
+    that stays zero.  With ``ones`` the result, ``mask * ones`` repeats a
+    mask in every field, and ``ones >> width * (count - s)`` is the same
+    over the first s fields only.
 
-    Zero-field test: a packed int p whose fields from ``count`` on are zero
-    has no zero field below ``count`` exactly when
-    ``(p + fill) & guard == guard``.  Adding the all-ones mask to a field
-    carries into its guard exactly when the field is not zero, and never
-    past the guard.
+    Zero-field test: with ``unit`` bit 0 of each of the first s fields and
+    ``guard = unit << width - 1``, a packed int p whose fields from s on are
+    zero has no zero field below s exactly when
+    ``(p + guard - unit) & guard == guard``.  Adding the all-ones mask
+    ``guard - unit`` to a field carries into its guard exactly when the
+    field is not zero, and never past the guard.
     """
     ones, span = min(count, 1), 1
     while span < count:  # doubling: time linear in the result's length
         ones |= ones << width * span
         span *= 2
-    ones &= (1 << width * count) - 1
-    guard = ones << width - 1
-    return ones, guard - ones, guard
+    return ones & (1 << width * count) - 1
 
 
 def _minimalize(mask: int, holds: Callable[[int], bool]) -> int:

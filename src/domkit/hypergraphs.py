@@ -136,10 +136,44 @@ def _edge_incidence(n: int, edges: list[int] | tuple[int, ...]) -> list[int]:
     return incidence
 
 
-# _mmcs tables its clear masks and its zero-field test masks for the first
-# sizes only, up to about this many bits in all, and a deeper node builds its
-# own: a deep search of a wide hypergraph would need n * depth * m bits.
+# The searches on packed frames read a child's clear mask from a table, one
+# per vertex over the first fields, while the table fits in about this many
+# bits (every field would take n * min(n, m) * (m + 1)); a node past it
+# builds the masks of its own branch vertices, one product each.
 _FIELD_TABLE_BITS = 1 << 22
+
+
+def _packed_frame(n: int, edges: list[int] | tuple[int, ...],
+                  incidence: list[int]) -> tuple[int, int, int, int, list[int]]:
+    """The set-up shared by the searches on packed frames, :func:`_mmcs` and
+    :func:`_oversized_transversal`: ``(width, top, ones, tabled, keep)``.
+
+    A frame packs one guarded field of m + 1 bits per member (see
+    :func:`graphs._guarded_fields`), m being the number of edges, for at
+    most ``top = min(n, m)`` members, since each member keeps an edge that no
+    other member hits; ``ones`` is bit 0 of each of those fields.
+    ``keep[v]`` is every mask bit of the first ``tabled`` fields except v's
+    edges, for at most about ``_FIELD_TABLE_BITS`` bits in all.
+    """
+    width = len(edges) + 1
+    top = min(n, len(edges))
+    ones = _guarded_fields(width, top)
+    tabled = min(top, _FIELD_TABLE_BITS // ((n + 1) * width))
+    unit = ones >> width * (top - tabled)
+    fill = (unit << width - 1) - unit
+    return width, top, ones, tabled, [fill ^ e * unit for e in incidence]
+
+
+def _clear_masks(incidence: list[int], unit: int, fill: int,
+                 vertices: Iterable[int]) -> dict[int, int]:
+    """``keep`` of :func:`_packed_frame` for ``vertices`` only, over the
+    fields whose bit 0 is in ``unit`` and whose mask bits are ``fill``."""
+    clears = {}
+    for v in vertices:
+        e = incidence[v]
+        low = (e & -e).bit_length() - 1 if e else 0  # the shift keeps the product small
+        clears[v] = fill ^ (e >> low) * unit << low
+    return clears
 
 
 def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
@@ -169,21 +203,17 @@ def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
     A child clears v's edges in every field with one mask, finds a member
     left without a critical edge with the zero-field test, and puts its new
     member's field above the others, so it costs a constant number of int
-    operations, not one per member.  The clear masks and the test's masks
-    are tabled for the first sizes, up to about ``_FIELD_TABLE_BITS`` bits in
-    all; a node past them builds its own.
+    operations, not one per member.  A node has fewer members than n and
+    than m, since each keeps an edge of its own and some edge is uncovered,
+    so ``min(n, m)`` fields hold every frame.  The clear masks come from the
+    table of :func:`_packed_frame`, or past it from :func:`_clear_masks`.
     """
     n = h.n
     shift = 2 * n
     empty, entries = _key_table(n)
     edges = sorted(set(h.edge_masks))
     incidence = _edge_incidence(n, edges)
-    width = len(edges) + 1
-    tabled = min(n, len(edges), _FIELD_TABLE_BITS // ((n + 1) * width))
-    tables = [_guarded_fields(width, s) for s in range(tabled + 1)]
-    ones, fill, _ = tables[tabled]
-    # keep[v]: the mask bits of the tabled fields, less v's edges
-    keep = [fill ^ e * ones for e in incidence]
+    width, top, ones, tabled, keep = _packed_frame(n, edges, incidence)
     # frame: the set's key, its members' critical edges as guarded fields,
     # uncovered edges, candidates
     stack = [(empty, 0, (1 << len(edges)) - 1, (1 << n) - 1)]
@@ -206,24 +236,18 @@ def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
                 if not count:  # a dead end: no vertex can cover this edge
                     break
         cand &= ~branch
-        if size < tabled:
-            _, lift, guards = tables[size]
-            clears = keep
-        else:
-            unit, lift, guards = _guarded_fields(width, size)
-            clears = {}
-            for v in iter_bits(branch):
-                # v's edges in every field; the shift keeps the product small
-                low = (incidence[v] & -incidence[v]).bit_length() - 1
-                clears[v] = lift ^ (incidence[v] >> low) * unit << low
+        unit = ones >> width * (top - size)
+        guards = unit << width - 1
+        lift = guards - unit
+        clears = keep if size < tabled else _clear_masks(incidence, unit, lift, iter_bits(branch))
         at = width * size
         while branch:
             low = branch & -branch
             branch ^= low
             v = low.bit_length() - 1
+            hit = incidence[v]
             kept = crit & clears[v]
             if kept + lift & guards == guards:
-                hit = incidence[v]
                 stack.append((chosen + entries[v], kept | (uncov & hit) << at, uncov & ~hit, cand))
             cand |= low
 
@@ -338,14 +362,14 @@ def _oversized_transversal(n: int, edges: tuple[int, ...], incidence: list[int],
     :func:`_mmcs`, a child clears v's edges in every field with one mask and
     finds a member left without a private edge with the zero-field test.
     The fields are unpacked into a list only at a leaf, for
-    :func:`_fill_around`.
+    :func:`_fill_around`.  No set of more than min(n, m) members has a
+    private edge for each, so a larger k returns None before any search.
     """
     size = k + 1
+    width, top, ones, tabled, keep = _packed_frame(n, edges, incidence)
+    if size > top:
+        return None
     full = (1 << n) - 1
-    width = len(edges) + 1
-    tables = [_guarded_fields(width, s) for s in range(size + 1)]
-    ones, fill, _ = tables[size]
-    keep = [fill ^ e * ones for e in incidence]
     every = (1 << width - 1) - 1
     # frame: members, their private edges as guarded fields, edges hit, next
     # candidate
@@ -360,14 +384,18 @@ def _oversized_transversal(n: int, edges: tuple[int, ...], incidence: list[int],
             if grown is not None:
                 return _minimalize(grown, lambda m: all(m & e for e in edges))
             continue
-        _, lift, guards = tables[depth]
+        unit = ones >> width * (top - depth)
+        guards = unit << width - 1
+        lift = guards - unit
+        last = n - size + depth + 1
+        clears = keep if depth < tabled else _clear_masks(incidence, unit, lift, range(start, last))
         at = width * depth
         children = []
-        for v in range(start, n - size + depth + 1):
+        for v in range(start, last):
             own = incidence[v] & ~hit
             if not own:
                 continue
-            kept = private & keep[v]
+            kept = private & clears[v]
             if kept + lift & guards == guards:
                 children.append((members | 1 << v, kept | own << at, hit | incidence[v], v + 1))
         stack.extend(reversed(children))

@@ -580,7 +580,7 @@ ALL_CHECKS = [
 
 # The scoreboard lines of each check that reports more than one, by the
 # check's name; any other check owns one line.
-CHECK_LINES = {"check_product_sets": PRODUCT_SET_LINES}
+CHECK_LINES = {check_product_sets.__name__: PRODUCT_SET_LINES}
 
 
 def run_all_checks(scale_name: str = "small", seed: int = 0) -> list[CheckResult]:

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 from random import Random
 
 import pytest
@@ -28,6 +29,7 @@ from domkit.hypergraphs import (
     Hypergraph,
     _edge_incidence,
     _hitting_set,
+    _oversized_transversal,
     _transversal_size_range,
     all_minimal_transversals_have_size,
     enumerate_minimal_transversals,
@@ -278,6 +280,19 @@ class TestPackedFields:
                 if not ok:
                     assert bruteforce.is_minimal_transversal(reduced, witness)
                     assert len(witness) != k
+
+    def test_no_oversized_search_past_the_edge_count(self):
+        # no 1101 of 1100 vertices have a private singleton edge each, so the
+        # search builds nothing: fields for 1101 members would be 400 MB
+        edges = tuple(1 << v for v in range(1100))
+        incidence = _edge_incidence(1100, edges)
+        tracemalloc.start()
+        try:
+            assert _oversized_transversal(1100, edges, incidence, 1100) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestHittingSet:

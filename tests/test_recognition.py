@@ -134,6 +134,11 @@ class TestBoundedKMethod:
         assert time.perf_counter() - start < 1.0
         assert report.verdict and report.common_size == 3
 
+    def test_domination_number_of_every_vertex(self):
+        # 1100 singleton edges: the oversized search has no 1101-set to try
+        report = is_well_dominated_bounded_k(edgeless_graph(1100), cap=1100)
+        assert report.verdict and report.common_size == 1100
+
     def test_agreement_with_enumeration(self):
         rng = Random(22)
         done = 0
