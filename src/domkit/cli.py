@@ -35,7 +35,7 @@ from .domination import (
 # and the recognizers find the domination number themselves), but both stay
 # imported so that the wrap still finds them
 from .domination import gamma, upper_gamma  # noqa: F401
-from .graphs import Graph, GraphParseError, VertexSet, parse_graph, write_graph
+from .graphs import Graph, GraphParseError, VertexSet, _members_text, parse_graph, write_graph
 from .lexicographic import lex_product
 from .recognition import (
     RecognitionReport,
@@ -61,8 +61,13 @@ def _parse_vertex_list(text: str) -> list[int]:
         raise ValueError(f"cannot parse vertex list {text!r}") from None
 
 
+def _fmt_sets(sets: list[VertexSet]) -> list[str]:
+    """Each set's members separated by spaces, or "(empty)"."""
+    return [text or "(empty)" for text in _members_text([s.mask for s in sets], " ")]
+
+
 def _fmt_set(s: VertexSet) -> str:
-    return " ".join(str(v) for v in s.members) if len(s) else "(empty)"
+    return _fmt_sets([s])[0]
 
 
 def _size_arg(text: str) -> int:
@@ -143,17 +148,11 @@ def _cmd_check_set(args) -> int:
     return 0 if results["dominating"] else 1
 
 
-# json.dumps holds one string per number until it joins them, so a long list
-# of sets peaks at about twenty times the size of its text; a batch at a time
-# bounds that peak
-_JSON_BATCH = 128
-
-
 def _json_sets(sets: list[VertexSet]) -> str:
     """The text of ``json.dumps([list(s.members) for s in sets])``."""
-    rows = [s.members for s in sets]
-    batches = range(0, len(rows), _JSON_BATCH)
-    return "[" + ", ".join(json.dumps(rows[i : i + _JSON_BATCH])[1:-1] for i in batches) + "]"
+    if not sets:
+        return "[]"
+    return "[[" + "], [".join(_members_text([s.mask for s in sets], ", ")) + "]]"
 
 
 def _cmd_enumerate_mds(args) -> int:
@@ -163,9 +162,7 @@ def _cmd_enumerate_mds(args) -> int:
         # the text of json.dumps({"count": ..., "sets": ...}, sort_keys=True)
         print(f'{{"count": {len(sets)}, "sets": {_json_sets(sets)}}}')
     else:
-        print(f"minimal dominating sets: {len(sets)}")
-        for s in sets:
-            print(_fmt_set(s))
+        print("\n".join([f"minimal dominating sets: {len(sets)}", *_fmt_sets(sets)]))
     return 0
 
 

@@ -201,16 +201,20 @@ def _minimum_cover(graph: Graph, closed: bool, reach: int) -> int | None:
     """The mask of a smallest covering set if one has at most ``reach`` vertices.
 
     A covering set is one whose closed (or open) neighborhoods cover all
-    vertices.  Searches sizes 1, 2, ..., ``reach`` in turn, O(n^k) steps
-    for size k, and returns None when none of them covers, without
-    searching further.
+    vertices.  Searches each size from ceil(n / d) up to ``reach`` in turn,
+    O(n^k) steps for size k, d being the most vertices one vertex covers,
+    since no smaller set covers all n; returns None when none of them
+    covers, without searching further.
     """
     _require_nonempty(graph)
     cover = graph.closed_mask if closed else graph.adj_mask
     # u covers v exactly when v covers u, so one list is both the edges (the
     # vertices covering each vertex) and the incidence (those each one covers)
     masks = [cover(v) for v in range(graph.n)]
-    covers = (hypergraphs._hitting_set(masks, masks, k) for k in range(1, reach + 1))
+    # an edgeless graph has no open cover, so any first size finds none there
+    widest = max(1, max(m.bit_count() for m in masks))
+    first = -(-graph.n // widest)
+    covers = (hypergraphs._hitting_set(masks, masks, k) for k in range(first, reach + 1))
     return next((c for c in covers if c is not None), None)
 
 

@@ -6,9 +6,9 @@ emit canonically sorted output.  Graphs are immutable after construction; all
 operations here are pure functions and safe to share across threads.
 
 This is also the bitmask kernel the other modules share: the vertex-set
-universe check, the ascending members of a mask, the bulk allocation of
-slotted sets, the sort key that gives the canonical order, open and
-closed neighborhood unions of a mask, the bits a family of masks covers
+universe check, the ascending members of a mask and their text, the bulk
+allocation of slotted sets, the sort key that gives the canonical order, open
+and closed neighborhood unions of a mask, the bits a family of masks covers
 exactly once, the layout of many masks packed in one int as guarded fields
 with its zero-field test, the universal vertices of a graph, the ascending
 removal pass that shrinks a set while a property holds, and the skeleton of
@@ -68,6 +68,43 @@ def _members(mask: int) -> tuple[int, ...]:
         out += table[mask & 255]
         mask >>= 8
     return out
+
+
+# Per separator, table k, entry b: the members of ``_BYTE_MEMBERS[k][b]`` as
+# text, the separator before each.  Built on first use and grown to the widest
+# mask rendered; a longer tuple of tables replaces a shorter one in one store,
+# so readers need no lock.
+_TEXT_ROWS: dict[str, tuple[tuple[str, ...], ...]] = {}
+
+
+def _text_tables(sep: str, nbytes: int) -> tuple[tuple[str, ...], ...]:
+    """At least ``nbytes`` text tables for ``sep`` (see ``_TEXT_ROWS``)."""
+    tables = _TEXT_ROWS.get(sep, ())
+    if len(tables) < nbytes:
+        tables = _TEXT_ROWS[sep] = tuple(
+            tuple("".join([sep + str(v) for v in members]) for members in row)
+            for row in _BYTE_MEMBERS[:nbytes]
+        )
+    return tables
+
+
+def _members_text(masks: list[int], sep: str) -> list[str]:
+    """``sep.join(map(str, iter_bits(m)))`` for each mask m of ``masks``.
+
+    Each string joins one table entry per byte of the mask and drops the
+    leading separator, so no number is turned into text and no ``json`` is
+    called: with ", " the members of a set become the inside of its JSON
+    list.  The entries are read a byte column at a time over the whole list;
+    past ``_TABLE_BITS`` the members are rendered one by one.
+    """
+    widest = max(masks, default=0).bit_length()
+    if widest > _TABLE_BITS:
+        return [sep.join(map(str, iter_bits(m))) for m in masks]
+    nbytes = -(-widest // 8) or 1  # a list of empty sets still reads one table
+    columns = [[table[m >> at & 255] for m in masks]
+               for at, table in zip(range(0, 8 * nbytes, 8), _text_tables(sep, nbytes))]
+    cut = len(sep)
+    return [text[cut:] for text in map("".join, zip(*columns))]
 
 
 def _bulk_new(cls: type, count: int, *slots: tuple) -> list:

@@ -177,14 +177,16 @@ def _clear_masks(incidence: list[int], unit: int, fill: int,
 
 
 def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
-    """The minimal transversals of ``h`` as canonical keys, in search order.
+    """The minimal transversals of ``h`` as canonical keys, in no fixed order.
 
     MMCS with an explicit stack over the distinct edges in ascending mask
     order: branch on the first uncovered edge with the fewest candidates; the
     child that adds v may later add only the vertices of that edge tried
     before v, so each transversal is reached once.  A child is skipped when a
     member would lose its last critical edge (one that it alone hits), which
-    no superset regains.
+    no superset regains.  A child that covers every edge is a leaf, and its
+    key is yielded at once rather than pushed; callers sort the keys or read
+    only their smallest and largest size.
 
     ``bounds`` is ``[lo, hi]``, read at every node, so a caller may move it
     between leaves.  A node of size s is cut when s + 1 >= lo and
@@ -212,6 +214,9 @@ def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
     shift = 2 * n
     empty, entries = _key_table(n)
     edges = sorted(set(h.edge_masks))
+    if not edges:  # the empty root is then the one leaf; below, only children are leaves
+        yield empty
+        return
     incidence = _edge_incidence(n, edges)
     width, top, ones, tabled, keep = _packed_frame(n, edges, incidence)
     # frame: the set's key, its members' critical edges as guarded fields,
@@ -219,9 +224,6 @@ def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
     stack = [(empty, 0, (1 << len(edges)) - 1, (1 << n) - 1)]
     while stack:
         chosen, crit, uncov, cand = stack.pop()
-        if not uncov:
-            yield chosen
-            continue
         size = chosen >> shift
         if size + 1 >= bounds[0] and size + uncov.bit_count() <= bounds[1]:
             continue
@@ -248,7 +250,11 @@ def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
             hit = incidence[v]
             kept = crit & clears[v]
             if kept + lift & guards == guards:
-                stack.append((chosen + entries[v], kept | (uncov & hit) << at, uncov & ~hit, cand))
+                left = uncov & ~hit
+                if left:
+                    stack.append((chosen + entries[v], kept | (uncov & hit) << at, left, cand))
+                else:
+                    yield chosen + entries[v]
             cand |= low
 
 

@@ -14,7 +14,7 @@ import domkit
 import domkit.cli
 import domkit.hypergraphs
 import domkit.recognition
-from domkit.cli import build_parser, main
+from domkit.cli import _fmt_set, _json_sets, build_parser, main
 from domkit.domination import enumerate_minimal_dominating_sets, gamma, is_minimal_dominating
 from domkit.families import complete_graph, cycle_graph, disjoint_union, path_graph, random_graph
 from domkit.graphs import Graph, VertexSet, parse_graph, write_graph
@@ -145,16 +145,83 @@ class TestEnumerate:
     def test_cap(self, c4_file, capsys):
         assert main(["enumerate-mds", c4_file, "--cap", "2"]) == 2
 
-    @pytest.mark.parametrize("n, batch", [(4, 1), (4, 6), (4, 128), (22, 128)])
-    def test_json_is_the_text_of_json_dumps(self, n, batch, tmp_path, monkeypatch, capsys):
-        # C4 has 6 sets and C22 has 1674, so batches end both on and off the last set
-        monkeypatch.setattr(domkit.cli, "_JSON_BATCH", batch)
+    @pytest.mark.parametrize("n, head", [(4, 1), (4, 6), (4, 128), (22, 128)])
+    def test_json_is_the_text_of_json_dumps(self, n, head, tmp_path, capsys):
+        # C4 has 6 sets and C22 has 1674: the whole listing goes through the
+        # command, and its first ``head`` sets, all of C4's or a part of
+        # C22's, through the list writer on their own
         path = tmp_path / "cycle.el"
         path.write_text(write_graph(cycle_graph(n)))
         assert main(["enumerate-mds", str(path), "--json"]) == 0
-        sets = [list(s.members) for s in enumerate_minimal_dominating_sets(cycle_graph(n))]
+        found = enumerate_minimal_dominating_sets(cycle_graph(n))
+        sets = [list(s.members) for s in found]
         want = json.dumps({"count": len(sets), "sets": sets}, sort_keys=True)
         assert capsys.readouterr().out == want + "\n"
+        assert _json_sets(found[:head]) == json.dumps(sets[:head])
+
+    @pytest.mark.parametrize("family", ["cycles", "gnp", "past-the-cap"])
+    def test_json_is_the_text_of_json_dumps_per_family(self, family, tmp_path, capsys):
+        for graph, cap in _listed_graphs(family):
+            path = tmp_path / "g.el"
+            path.write_text(write_graph(graph))
+            assert main(["enumerate-mds", str(path), "--json", "--cap", str(cap)]) == 0
+            sets = [list(s.members) for s in enumerate_minimal_dominating_sets(graph, cap)]
+            want = json.dumps({"count": len(sets), "sets": sets}, sort_keys=True)
+            assert capsys.readouterr().out == want + "\n"
+
+    @pytest.mark.parametrize("family", ["cycles", "gnp", "past-the-cap"])
+    def test_text_is_one_line_per_set(self, family, tmp_path, capsys):
+        for graph, cap in _listed_graphs(family):
+            path = tmp_path / "g.el"
+            path.write_text(write_graph(graph))
+            assert main(["enumerate-mds", str(path), "--cap", str(cap)]) == 0
+            sets = enumerate_minimal_dominating_sets(graph, cap)
+            lines = [" ".join(map(str, s)) for s in sets]
+            assert lines == [_fmt_set(s) for s in sets]
+            assert capsys.readouterr().out.splitlines() == [
+                f"minimal dominating sets: {len(sets)}", *lines]
+
+    def test_text_tables_are_built_on_first_rendering(self, tmp_path):
+        # a JSON query that lists no sets builds no table, so recognition does
+        # not pay for them; text mode builds the " " tables for the first set
+        # it prints, and each list reads as many tables as its widest mask has
+        # bytes (C9: two)
+        (tmp_path / "c9.el").write_text(write_graph(cycle_graph(9)))
+        src = str(Path(domkit.__file__).resolve().parents[1])
+        code = (
+            "import contextlib, io, sys, domkit.cli, domkit.graphs\n"
+            "rows = domkit.graphs._TEXT_ROWS\n"
+            "def run(*argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        domkit.cli.main([argv[0], sys.argv[1], *argv[1:]])\n"
+            "    print({sep: len(tables) for sep, tables in sorted(rows.items())})\n"
+            "print(rows)\n"
+            "run('well-dominated', '--json')\n"
+            "run('check-set', '--json', '0,3,6')\n"
+            "run('check-set', '0,3,6')\n"
+            "run('enumerate-mds', '--json')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "c9.el")],
+            capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+        )
+        assert done.stdout.splitlines() == [
+            "{}", "{}", "{}", "{' ': 1}", "{' ': 1, ', ': 2}"], done.stderr
+
+
+def _listed_graphs(family):
+    """(graph, cap) pairs whose minimal dominating sets the output tests list."""
+    if family == "cycles":
+        return [(cycle_graph(n), 24) for n in range(3, 25)]
+    if family == "gnp":
+        rng = Random(11)
+        return [(random_graph(n, rng, p), 24) for n in (1, 6, 12, 18, 24) for p in (0.2, 0.5)]
+    # four 9-cliques, 36 vertices: each set holds one vertex of every clique,
+    # so the masks reach past the first three tables into a fifth byte
+    wide = complete_graph(9)
+    for _ in range(3):
+        wide = disjoint_union(wide, complete_graph(9))
+    return [(wide, 36)]
 
 
 class TestProduct:

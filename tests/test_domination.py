@@ -41,6 +41,7 @@ from domkit.families import (
     random_isolate_free_graph,
 )
 from domkit.graphs import Graph, VertexSet
+from domkit.hypergraphs import _hitting_set
 
 from conftest import graph_with_subset, graphs
 
@@ -256,6 +257,22 @@ class TestParameters:
                 assert check(g, VertexSet.from_mask(g.n, found))
         with pytest.raises(ValueError, match="zero-vertex"):
             _minimum_cover(Graph(0), True, 3)
+
+    def test_minimum_cover_from_its_lower_bound_is_the_search_from_one(self):
+        # the search starts at ceil(n / widest cover), below which no set
+        # covers, so it returns what a search of every size from 1 returns
+        def from_one(g, closed, reach):
+            masks = [g.closed_mask(v) if closed else g.adj_mask(v) for v in range(g.n)]
+            covers = (_hitting_set(masks, masks, k) for k in range(1, reach + 1))
+            return next((c for c in covers if c is not None), None)
+
+        rng = Random(6)
+        graphs = [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+        graphs += [random_graph(n, rng, p) for n in range(7, 15) for p in (0.15, 0.3, 0.6)]
+        for g in graphs:
+            for closed in (True, False):
+                for reach in range(g.n + 1):
+                    assert _minimum_cover(g, closed, reach) == from_one(g, closed, reach)
 
     def test_searches_deeper_than_the_recursion_limit(self):
         assert gamma(Graph(1100)) == 1100

@@ -15,6 +15,7 @@ from domkit.graphs import (
     VertexSet,
     _bulk_new,
     _key_table,
+    _members_text,
     _universal_mask,
     closed_neighborhood,
     complement,
@@ -75,6 +76,20 @@ class TestVertexSet:
         masks += [(1 << top) - 1 for top in (8, 24, 64, 65, 1100)]
         for mask in masks:
             assert VertexSet.from_mask(1100, mask).members == tuple(iter_bits(mask))
+
+    def test_members_text_matches_iter_bits(self):
+        # a list is rendered by its widest mask: one table per byte up to 64
+        # bits, and the members one by one past that
+        rng = Random(12)
+        masks = [0] + [rng.getrandbits(rng.randint(1, 70)) for _ in range(400)]
+        groups = [masks] + [[m & (1 << top) - 1 for m in masks] for top in (8, 24, 25, 64, 65)]
+        groups += [[m] for m in masks]
+        for sep in (" ", ", "):
+            for group in groups:
+                want = [sep.join(map(str, iter_bits(m))) for m in group]
+                assert _members_text(group, sep) == want
+        assert _members_text([], " ") == []
+        assert _members_text([0], ", ") == [""]
 
     def test_bulk_wrap_matches_from_mask(self):
         for n, masks in ((0, [0]), (5, [0, 1, 31, 18]), (70, [1 << 69, (1 << 70) - 1, 0])):

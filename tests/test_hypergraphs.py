@@ -24,11 +24,12 @@ from domkit.domination import (
     is_minimal_dominating,
     neighborhood_hypergraph,
 )
-from domkit.graphs import GraphParseError, VertexSet, set_sort_key
+from domkit.graphs import GraphParseError, VertexSet, _key_table, set_sort_key
 from domkit.hypergraphs import (
     Hypergraph,
     _edge_incidence,
     _hitting_set,
+    _mmcs,
     _oversized_transversal,
     _transversal_size_range,
     all_minimal_transversals_have_size,
@@ -165,6 +166,22 @@ class TestEnumeration:
             got = enumerate_minimal_transversals(h)
             assert got == sorted(got, key=set_sort_key)
             assert [x.members for x in got] == [tuple(x) for x in got]
+
+    def test_keys_match_brute_force_with_duplicate_and_nested_edges(self):
+        # leaf children are yielded as soon as they are found, out of search
+        # order: sorted, the keys are those of the brute-force transversals
+        rng = Random(31)
+        instances = _wide_hypergraphs(4, 32)
+        for _ in range(80):
+            n = rng.randint(1, 12)
+            base = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 8))]
+            base += rng.sample(base, rng.randint(0, len(base)))
+            base += [m | rng.getrandbits(n) for m in rng.sample(base, rng.randint(0, len(base)))]
+            instances.append(Hypergraph(n, [VertexSet.from_mask(n, m) for m in base]))
+        for h in instances:
+            empty, entries = _key_table(h.n)
+            want = [empty + sum(entries[v] for v in x) for x in bruteforce.minimal_transversals(h)]
+            assert sorted(_mmcs(h, [h.n + 1, -1])) == want
 
     @given(hypergraphs_strategy())
     @settings(max_examples=100)

@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 import domkit
+import domkit.hypergraphs
 
 from domkit.domination import EnumerationCapExceeded, gamma, is_minimal_dominating
 from domkit.families import (
@@ -25,6 +26,7 @@ from domkit.graphs import Graph
 from domkit.lexicographic import lex_product
 from domkit.recognition import (
     BOUNDED_K_REACH,
+    _domination_cover,
     is_well_covered_alpha2,
     is_well_dominated_bounded_k,
     is_well_dominated_enum,
@@ -166,6 +168,22 @@ class TestDispatch:
         assert recognize(c4).method == "gamma2"
         assert recognize(cycle_graph(9)).method == "bounded_k"
         assert recognize(cycle_graph(10)).method == "enumeration"
+
+    def test_cycles_past_the_reach_run_no_cover_search(self, monkeypatch):
+        # gamma(Cn) = ceil(n / 3) and each vertex covers three, so for
+        # n = 12..16 the first size searched is already past the reach
+        calls = []
+        search = domkit.hypergraphs._hitting_set
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(domkit.hypergraphs, "_hitting_set", counted)
+        for n in range(12, 17):
+            assert _domination_cover(cycle_graph(n), BOUNDED_K_REACH, None) is None
+        assert calls == []
+        assert recognize(cycle_graph(12)).method == "enumeration"
 
     def test_large_domination_number_meets_the_cap_first(self):
         sparse = random_graph(50, Random(2), 0.1)
