@@ -67,6 +67,8 @@ def random_graph(n: int, rng: Random, edge_probability: float = 0.5) -> Graph:
 def random_isolate_free_graph(n: int, rng: Random, edge_probability: float = 0.5) -> Graph:
     if n < 2:
         raise ValueError("need at least two vertices to avoid isolated vertices")
+    if not edge_probability > 0:  # no edge is ever drawn, so no graph would be accepted
+        raise ValueError("edge_probability must be positive to avoid isolated vertices")
     while True:
         g = random_graph(n, rng, edge_probability)
         if all(g.adj_mask(v) for v in range(n)):

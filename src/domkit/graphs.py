@@ -9,10 +9,9 @@ This is also the bitmask kernel the other modules share: the vertex-set
 universe check, the ascending members of a mask and their text, the bulk
 allocation of slotted sets, the sort key that gives the canonical order, open
 and closed neighborhood unions of a mask, the bits a family of masks covers
-exactly once, the layout of many masks packed in one int as guarded fields
-with its zero-field test, the universal vertices of a graph, the ascending
-removal pass that shrinks a set while a property holds, and the skeleton of
-the edge-list document formats are each defined here once.
+exactly once, the universal vertices of a graph, the ascending removal pass
+that shrinks a set while a property holds, and the skeleton of the edge-list
+document formats are each defined here once.
 """
 
 from __future__ import annotations
@@ -436,29 +435,6 @@ def _once_cover(masks: Iterable[int]) -> tuple[int, int]:
         twice |= once & m
         once |= m
     return once, once & ~twice
-
-
-def _guarded_fields(width: int, count: int) -> int:
-    """Bit 0 of each of the first ``count`` fields of an int of guarded fields.
-
-    Such an int packs one mask per field: field i is bits i * width to
-    i * width + width - 1, a mask of ``width - 1`` bits under a top guard bit
-    that stays zero.  With ``ones`` the result, ``mask * ones`` repeats a
-    mask in every field, and ``ones >> width * (count - s)`` is the same
-    over the first s fields only.
-
-    Zero-field test: with ``unit`` bit 0 of each of the first s fields and
-    ``guard = unit << width - 1``, a packed int p whose fields from s on are
-    zero has no zero field below s exactly when
-    ``(p + guard - unit) & guard == guard``.  Adding the all-ones mask
-    ``guard - unit`` to a field carries into its guard exactly when the
-    field is not zero, and never past the guard.
-    """
-    ones, span = min(count, 1), 1
-    while span < count:  # doubling: time linear in the result's length
-        ones |= ones << width * span
-        span *= 2
-    return ones & (1 << width * count) - 1
 
 
 def _minimalize(mask: int, holds: Callable[[int], bool]) -> int:

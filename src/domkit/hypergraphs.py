@@ -32,7 +32,6 @@ from .graphs import (
     GraphParseError,
     VertexSet,
     _check_universe,
-    _guarded_fields,
     _int_tokens,
     _key_table,
     _minimalize,
@@ -136,38 +135,40 @@ def _edge_incidence(n: int, edges: list[int] | tuple[int, ...]) -> list[int]:
     return incidence
 
 
-# The searches on packed frames read a child's clear mask from a table, one
-# per vertex over the first fields, while the table fits in about this many
-# bits (every field would take n * min(n, m) * (m + 1)); a node past it
-# builds the masks of its own branch vertices, one product each.
-_FIELD_TABLE_BITS = 1 << 22
+def _guarded_fields(width: int, count: int) -> int:
+    """Bit 0 of each of the first ``count`` fields of an int of guarded fields.
 
+    Such an int packs one mask per field: field i is bits i * width to
+    i * width + width - 1, a mask of ``width - 1`` bits under a top guard bit
+    that stays zero.  With ``ones`` the result, ``mask * ones`` repeats a
+    mask in every field, and ``ones >> width * (count - s)`` is the same
+    over the first s fields only.
 
-def _packed_frame(n: int, edges: list[int] | tuple[int, ...],
-                  incidence: list[int]) -> tuple[int, int, int, int, list[int]]:
-    """The set-up shared by the searches on packed frames, :func:`_mmcs` and
-    :func:`_oversized_transversal`: ``(width, top, ones, tabled, keep)``.
-
-    A frame packs one guarded field of m + 1 bits per member (see
-    :func:`graphs._guarded_fields`), m being the number of edges, for at
-    most ``top = min(n, m)`` members, since each member keeps an edge that no
-    other member hits; ``ones`` is bit 0 of each of those fields.
-    ``keep[v]`` is every mask bit of the first ``tabled`` fields except v's
-    edges, for at most about ``_FIELD_TABLE_BITS`` bits in all.
+    Zero-field test: with ``unit`` bit 0 of each of the first s fields and
+    ``guard = unit << width - 1``, a packed int p whose fields from s on are
+    zero has no zero field below s exactly when
+    ``(p + guard - unit) & guard == guard``.  Adding the all-ones mask
+    ``guard - unit`` to a field carries into its guard exactly when the
+    field is not zero, and never past the guard.
     """
-    width = len(edges) + 1
-    top = min(n, len(edges))
-    ones = _guarded_fields(width, top)
-    tabled = min(top, _FIELD_TABLE_BITS // ((n + 1) * width))
-    unit = ones >> width * (top - tabled)
-    fill = (unit << width - 1) - unit
-    return width, top, ones, tabled, [fill ^ e * unit for e in incidence]
+    ones, span = min(count, 1), 1
+    while span < count:  # doubling: time linear in the result's length
+        ones |= ones << width * span
+        span *= 2
+    return ones & (1 << width * count) - 1
+
+
+# MMCS reads a child's clear mask from a table, one per vertex over the first
+# fields, while the table fits in about this many bits (every field would
+# take n * min(n, m) * (m + 1)); a node past it builds the masks of its own
+# branch vertices, one product each.
+_FIELD_TABLE_BITS = 1 << 22
 
 
 def _clear_masks(incidence: list[int], unit: int, fill: int,
                  vertices: Iterable[int]) -> dict[int, int]:
-    """``keep`` of :func:`_packed_frame` for ``vertices`` only, over the
-    fields whose bit 0 is in ``unit`` and whose mask bits are ``fill``."""
+    """The clear masks of :func:`_mmcs`'s table for ``vertices`` only, over
+    the fields whose bit 0 is in ``unit`` and whose mask bits are ``fill``."""
     clears = {}
     for v in vertices:
         e = incidence[v]
@@ -200,15 +201,17 @@ def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
     size as ``key >> 2n``, and wrap the keys without a key tuple per set.
 
     It holds its members' critical edges as one int of guarded fields (see
-    :func:`graphs._guarded_fields`): one field of m + 1 bits per member, in
+    :func:`_guarded_fields`): one field of m + 1 bits per member, in
     the order the members were added, m being the number of distinct edges.
     A child clears v's edges in every field with one mask, finds a member
     left without a critical edge with the zero-field test, and puts its new
     member's field above the others, so it costs a constant number of int
     operations, not one per member.  A node has fewer members than n and
     than m, since each keeps an edge of its own and some edge is uncovered,
-    so ``min(n, m)`` fields hold every frame.  The clear masks come from the
-    table of :func:`_packed_frame`, or past it from :func:`_clear_masks`.
+    so ``min(n, m)`` fields hold every frame.  ``keep[v]`` is every mask
+    bit of the first ``tabled`` fields except v's edges, a table of at most
+    about ``_FIELD_TABLE_BITS`` bits; a node past those fields builds its
+    branch vertices' masks with :func:`_clear_masks`.
     """
     n = h.n
     shift = 2 * n
@@ -218,7 +221,13 @@ def _mmcs(h: Hypergraph, bounds: list[int]) -> Iterator[int]:
         yield empty
         return
     incidence = _edge_incidence(n, edges)
-    width, top, ones, tabled, keep = _packed_frame(n, edges, incidence)
+    width = len(edges) + 1
+    top = min(n, len(edges))
+    ones = _guarded_fields(width, top)
+    tabled = min(top, _FIELD_TABLE_BITS // ((n + 1) * width))
+    unit = ones >> width * (top - tabled)
+    fill = (unit << width - 1) - unit
+    keep = [fill ^ e * unit for e in incidence]
     # frame: the set's key, its members' critical edges as guarded fields,
     # uncovered edges, candidates
     stack = [(empty, 0, (1 << len(edges)) - 1, (1 << n) - 1)]
@@ -359,51 +368,37 @@ def _oversized_transversal(n: int, edges: tuple[int, ...], incidence: list[int],
     outside S and every e(s); minimalizing S | F then keeps all of S, since
     each e(s) meets it in s alone.  Candidate sets are searched depth-first in
     ascending combination order, each frame carrying its members' private
-    edges and the edges hit so far; a child in which some member would lose
-    its last private edge is cut, as no superset regains it.
-
-    The private edges are one int of guarded fields (see
-    :func:`graphs._guarded_fields`): one field of m + 1 bits per member, in
-    ascending member order, m being the number of edges.  As in
-    :func:`_mmcs`, a child clears v's edges in every field with one mask and
-    finds a member left without a private edge with the zero-field test.
-    The fields are unpacked into a list only at a leaf, for
-    :func:`_fill_around`.  No set of more than min(n, m) members has a
-    private edge for each, so a larger k returns None before any search.
+    edges as a list in member order, and the edges hit so far; a child in
+    which some member would lose its last private edge is cut, as no superset
+    regains it.  A frame has at most k + 1 members, too few for the guarded
+    fields of :func:`_mmcs` to save time at the small k the recognizers
+    search, so the list goes to :func:`_fill_around` as it is.  No set of more
+    than min(n, m) members has a private edge for each, m being the number
+    of edges, so a larger k returns None before any search.
     """
     size = k + 1
-    width, top, ones, tabled, keep = _packed_frame(n, edges, incidence)
-    if size > top:
+    if size > min(n, len(edges)):
         return None
     full = (1 << n) - 1
-    every = (1 << width - 1) - 1
-    # frame: members, their private edges as guarded fields, edges hit, next
-    # candidate
-    stack: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
+    # frame: members, their private edges in member order, edges hit, next candidate
+    stack: list[tuple[int, list[int], int, int]] = [(0, [], 0, 0)]
     while stack:
         members, private, hit, start = stack.pop()
-        depth = members.bit_count()
-        if depth == size:
+        if len(private) == size:
             missed = [edges[i] for i in range(len(edges)) if not hit >> i & 1]
-            fields = [private >> width * j & every for j in range(size)]
-            grown = _fill_around(edges, full, members, fields, missed)
+            grown = _fill_around(edges, full, members, private, missed)
             if grown is not None:
                 return _minimalize(grown, lambda m: all(m & e for e in edges))
             continue
-        unit = ones >> width * (top - depth)
-        guards = unit << width - 1
-        lift = guards - unit
-        last = n - size + depth + 1
-        clears = keep if depth < tabled else _clear_masks(incidence, unit, lift, range(start, last))
-        at = width * depth
         children = []
-        for v in range(start, last):
+        for v in range(start, n - size + len(private) + 1):
             own = incidence[v] & ~hit
             if not own:
                 continue
-            kept = private & clears[v]
-            if kept + lift & guards == guards:
-                children.append((members | 1 << v, kept | own << at, hit | incidence[v], v + 1))
+            kept = [p & ~incidence[v] for p in private]
+            if 0 not in kept:
+                kept.append(own)
+                children.append((members | 1 << v, kept, hit | incidence[v], v + 1))
         stack.extend(reversed(children))
     return None
 

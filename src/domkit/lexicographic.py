@@ -12,6 +12,7 @@ oracle in the test suite.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -144,7 +145,7 @@ class ProductSet:
         for what, size in (("base", base_n), ("fiber", fiber_n)):
             if size < 0:
                 raise ValueError(f"{what} size must be non-negative")
-        cleaned = sorted(set((int(g), int(h)) for g, h in pairs))
+        cleaned = sorted(set((operator.index(g), operator.index(h)) for g, h in pairs))
         mask = 0
         for g, h in cleaned:
             if not (0 <= g < base_n and 0 <= h < fiber_n):

@@ -1,6 +1,7 @@
 """Graph catalog: canonical forms, known counts, caching, determinism."""
 
 import itertools
+import threading
 from random import Random
 
 from hypothesis import given, settings
@@ -58,6 +59,25 @@ class TestRandomGraphs:
         for _ in range(20):
             g = random_isolate_free_graph(rng.randint(2, 7), rng)
             assert all(g.adj_mask(v) for v in range(g.n))
+
+    def test_non_positive_probability_rejected_without_hanging(self):
+        # no edge is ever drawn at these probabilities; the calls run in a
+        # daemon thread so that a search that never ends fails the test
+        # instead of hanging the suite
+        messages = []
+
+        def draw_all():
+            for p in (0, -0.5, float("nan")):
+                try:
+                    random_isolate_free_graph(3, Random(0), p)
+                except ValueError as e:
+                    messages.append(str(e))
+
+        worker = threading.Thread(target=draw_all, daemon=True)
+        worker.start()
+        worker.join(timeout=2)
+        assert not worker.is_alive()
+        assert messages == ["edge_probability must be positive to avoid isolated vertices"] * 3
 
     def test_sperner_sampling(self):
         rng = Random(8)

@@ -256,7 +256,7 @@ def _wide_hypergraphs(count, seed):
 
     A Sperner base of equal-size edges, then duplicates and supersets of
     some of them, so that the input is not Sperner but its reduction still
-    has 25 or more edges.  A field of the packed searches has one bit per
+    has 25 or more edges.  A field of MMCS's packed frames has one bit per
     distinct edge plus a guard, 26 bits or more, so fields cross the 30-bit
     digits of an int.
     """
@@ -267,15 +267,18 @@ def _wide_hypergraphs(count, seed):
         base = rng.sample(list(itertools.combinations(range(n), rng.randint(3, 5))), 25)
         base = [VertexSet(n, e).mask for e in base]
         base += rng.sample(base, rng.randint(0, 15))
-        nested = [m | 1 << rng.randrange(n) for m in rng.sample(base, rng.randint(0, 30))]
+        # capped after the draw, so the seeds that never hit the cap draw as before
+        picked = rng.sample(base, min(rng.randint(0, 30), len(base)))
+        nested = [m | 1 << rng.randrange(n) for m in picked]
         out.append(Hypergraph(n, [VertexSet.from_mask(n, m) for m in base + nested]))
     return out
 
 
 class TestPackedFields:
-    """The searches that pack one guarded field per member, with fields past
-    one digit, against subset brute force; with the clear masks tabled for
-    every size, for the first sizes only, and for none."""
+    """MMCS, which packs one guarded field per member, with fields past one
+    digit, against subset brute force; with the clear masks tabled for every
+    size, for the first sizes only, and for none.  The fixed-size decision,
+    which keeps a plain list per frame, is checked on the same inputs."""
 
     @pytest.mark.parametrize("table_bits", [None, 1500, 0])
     def test_wide_fields_match_brute_force(self, table_bits, monkeypatch):
@@ -300,7 +303,7 @@ class TestPackedFields:
 
     def test_no_oversized_search_past_the_edge_count(self):
         # no 1101 of 1100 vertices have a private singleton edge each, so the
-        # search builds nothing: fields for 1101 members would be 400 MB
+        # search returns before it builds a frame
         edges = tuple(1 << v for v in range(1100))
         incidence = _edge_incidence(1100, edges)
         tracemalloc.start()
@@ -420,6 +423,20 @@ class TestFixedSizeDecision:
                 k = gamma(g)
                 ok, witness = all_minimal_transversals_have_size(h, k)
                 assert (None if ok else witness) == self._first_oversized_by_rule(h, k)
+        # larger graphs in the regime that recognize dispatches to (gamma <= 3),
+        # two of them well-dominated and some whose first choice of private
+        # edges fails
+        rng = Random(2)
+        done = 0
+        while done < 20:
+            g = random_graph(rng.randint(8, 12), rng, rng.choice((0.4, 0.6, 0.8)))
+            k = gamma(g)
+            if k > 3:
+                continue
+            done += 1
+            h = neighborhood_hypergraph(g)
+            ok, witness = all_minimal_transversals_have_size(h, k)
+            assert (None if ok else witness) == self._first_oversized_by_rule(h, k)
 
     def test_matches_enumeration_on_the_catalogue(self):
         for n in range(1, 8):

@@ -133,6 +133,12 @@ class TestProductSet:
         with pytest.raises(ValueError):
             ProductSet(2, 2, [(2, 0)])
 
+    def test_non_integral_coordinates_rejected(self):
+        # as in VertexSet, a coordinate is taken as an index, not converted
+        for pairs in ([(1.5, 0)], [(0, 1.0)], [("1", "0")]):
+            with pytest.raises(TypeError):
+                ProductSet(3, 3, pairs)
+
     def test_negative_sizes_rejected(self):
         cases = [((-1, 3), "base"), ((-2, -3), "base"), ((3, -1), "fiber"), ((0, -1), "fiber")]
         for (base_n, fiber_n), what in cases:
