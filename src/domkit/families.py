@@ -64,15 +64,32 @@ def random_graph(n: int, rng: Random, edge_probability: float = 0.5) -> Graph:
     return Graph(n, edges)
 
 
+# Draws ``random_isolate_free_graph`` makes before it gives up.  At the
+# default probability one half a draw on n >= 2 vertices is accepted with
+# probability at least one half, so a call fails there with probability
+# below 2^-1000.
+_ISOLATE_FREE_DRAWS = 1000
+
+
 def random_isolate_free_graph(n: int, rng: Random, edge_probability: float = 0.5) -> Graph:
+    """The first draw of ``random_graph`` without isolated vertices.
+
+    Raises ``ValueError`` when ``edge_probability`` is not positive, and when
+    none of ``_ISOLATE_FREE_DRAWS`` draws is accepted, as happens when the
+    probability is too small for ``n``.
+    """
     if n < 2:
         raise ValueError("need at least two vertices to avoid isolated vertices")
     if not edge_probability > 0:  # no edge is ever drawn, so no graph would be accepted
         raise ValueError("edge_probability must be positive to avoid isolated vertices")
-    while True:
+    for _ in range(_ISOLATE_FREE_DRAWS):
         g = random_graph(n, rng, edge_probability)
         if all(g.adj_mask(v) for v in range(n)):
             return g
+    raise ValueError(
+        f"no graph without isolated vertices in {_ISOLATE_FREE_DRAWS} draws of "
+        f"G({n}, {edge_probability}); edge_probability is too small"
+    )
 
 
 def random_sperner_hypergraph(n: int, rng: Random, max_edges: int | None = None) -> Hypergraph:

@@ -317,11 +317,18 @@ def _hitting_set(edges: list[int] | tuple[int, ...], incidence: list[int],
     branch edge it has yet to try; the lowest is tried first and its subtree
     searched before the next, so the explicit stack returns the same set as
     a recursive search.
+
+    No vertex hits more than ``most`` edges, so a node that may still add b
+    vertices but leaves more than b * ``most`` edges unhit has no solution
+    below it: such a child is not pushed, and such a root returns None at
+    once.  Only subtrees without a solution are cut, so the set returned is
+    the one the uncut search finds.
     """
     unhit = (1 << len(edges)) - 1
     if not unhit:
         return 0
-    stack = [(unhit, 0, k, edges[0])] if k > 0 else []
+    most = max(map(int.bit_count, incidence))
+    stack = [(unhit, 0, k, edges[0])] if len(edges) <= k * most else []
     while stack:
         unhit, chosen, budget, options = stack.pop()
         if not options:
@@ -331,7 +338,7 @@ def _hitting_set(edges: list[int] | tuple[int, ...], incidence: list[int],
         left = unhit & ~incidence[low.bit_length() - 1]
         if not left:
             return chosen | low
-        if budget > 1:
+        if left.bit_count() <= (budget - 1) * most:
             stack.append((left, chosen | low, budget - 1, edges[(left & -left).bit_length() - 1]))
     return None
 

@@ -79,6 +79,23 @@ class TestRandomGraphs:
         assert not worker.is_alive()
         assert messages == ["edge_probability must be positive to avoid isolated vertices"] * 3
 
+    def test_tiny_probability_fails_fast(self):
+        # a positive probability this small almost never draws an
+        # isolate-free graph; the bounded draws raise instead of looping
+        errors = []
+
+        def draw():
+            try:
+                random_isolate_free_graph(3, Random(0), 1e-9)
+            except ValueError as e:
+                errors.append(e)
+
+        worker = threading.Thread(target=draw, daemon=True)
+        worker.start()
+        worker.join(timeout=2)
+        assert not worker.is_alive()
+        assert len(errors) == 1 and "edge_probability is too small" in str(errors[0])
+
     def test_sperner_sampling(self):
         rng = Random(8)
         for _ in range(20):

@@ -33,7 +33,14 @@ from domkit.graphs import (
     set_sort_key,
     write_graph,
 )
-from domkit.families import complete_graph, cycle_graph, edgeless_graph, path_graph
+from domkit.families import (
+    complete_graph,
+    cycle_graph,
+    edgeless_graph,
+    nonisomorphic_graphs,
+    path_graph,
+    random_graph,
+)
 from domkit.hypergraphs import Hypergraph
 from domkit.lexicographic import ProductSet, lex_product
 from domkit.recognition import recognize
@@ -372,6 +379,24 @@ class TestTriangles:
             if all(prism.adjacent(a, b) for a, b in itertools.combinations(trip, 2))
         }
         assert got == want == {(0, 2, 4), (1, 3, 5)}
+
+    def test_matches_ordered_combination_scan(self):
+        # the mask kernel against a plain scan of vertex triples in
+        # ascending order: same list, item for item, universe and mask
+        def scan(g):
+            return [
+                VertexSet(g.n, trip)
+                for trip in itertools.combinations(range(g.n), 3)
+                if all(g.adjacent(a, b) for a, b in itertools.combinations(trip, 2))
+            ]
+
+        cases = [Graph(n) for n in (0, 1, 2)] + [Graph(2, [(0, 1)])]
+        cases += [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+        rng = Random(26)
+        cases += [random_graph(n, rng, p) for n in range(25) for p in (0.3, 0.5, 0.8)]
+        cases += [complement(cycle_graph(n)) for n in range(10, 19)]
+        for g in cases:
+            assert enumerate_triangles(g) == scan(g)
 
 
 class TestC6Complement:

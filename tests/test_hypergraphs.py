@@ -24,7 +24,7 @@ from domkit.domination import (
     is_minimal_dominating,
     neighborhood_hypergraph,
 )
-from domkit.graphs import GraphParseError, VertexSet, _key_table, set_sort_key
+from domkit.graphs import GraphParseError, VertexSet, _key_table, iter_bits, set_sort_key
 from domkit.hypergraphs import (
     Hypergraph,
     _edge_incidence,
@@ -340,6 +340,36 @@ class TestHittingSet:
         incidence = _edge_incidence(4, edges)
         assert _hitting_set(edges, incidence, 2) == 0b0101
         assert _hitting_set(edges, incidence, 1) is None
+
+    def test_cut_returns_the_uncut_search_set(self):
+        # the degree cut drops only subtrees without a solution, so the set
+        # found is the first of a plain recursive search, lowest unhit edge
+        # first and its vertices ascending
+        def first(edges, incidence, unhit, k):
+            if not unhit:
+                return 0
+            if k == 0:
+                return None
+            for v in iter_bits(edges[(unhit & -unhit).bit_length() - 1]):
+                found = first(edges, incidence, unhit & ~incidence[v], k - 1)
+                if found is not None:
+                    return found | 1 << v
+            return None
+
+        rng = Random(26)
+        for _ in range(150):
+            n = rng.randint(4, 10)
+            g = random_graph(n, rng, rng.random())
+            masks = [g.closed_mask(v) for v in range(n)]
+            for k in range(n + 1):
+                assert _hitting_set(masks, masks, k) == first(masks, masks, (1 << n) - 1, k)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            edges = random_sperner_hypergraph(n, rng).edge_masks
+            incidence = _edge_incidence(n, edges)
+            for k in range(n + 1):
+                assert _hitting_set(edges, incidence, k) == first(
+                    edges, incidence, (1 << len(edges)) - 1, k)
 
     def test_no_edges_need_no_vertices(self):
         assert _hitting_set((), [0, 0], 0) == 0
