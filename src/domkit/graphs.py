@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import operator
 from typing import Callable, Iterable, Iterator
 
 
@@ -111,7 +112,10 @@ def _bulk_new(cls: type, count: int, *slots: tuple) -> list:
 
     Each of ``slots`` is a pair (slot descriptor, values), and instance i
     gets the i-th value.  C-level ``map`` loops allocate the instances and
-    store every slot, with no Python bytecode run per instance.
+    store every slot, with no Python bytecode run per instance.  The values
+    are best a ``map`` of a builtin function, such as ``operator.and_`` over
+    the keys and an ``itertools.repeat`` of the mask: a bound method
+    wrapper such as ``full.__and__`` costs more per call.
 
     The cyclic collector is paused around the loops, which would otherwise
     trigger collections that walk the growing list again and again.  The
@@ -193,12 +197,15 @@ class VertexSet:
         non-negative int; bits at ``universe_size`` and above (the rest of
         a :func:`_key_table` key) are dropped.  Returns the sets equal to
         ``VertexSet.from_mask(universe_size, key & full)``, in the order of
-        ``keys``, built by :func:`_bulk_new`.
+        ``keys``, built by :func:`_bulk_new`.  The masks come from
+        ``operator.and_`` mapped over the keys and a repeated ``full``, a
+        C-level call per key that is cheaper than the bound method wrapper
+        ``full.__and__``.
         """
         full = (1 << universe_size) - 1
         count = len(keys)
         return _bulk_new(cls, count, (cls.universe_size, itertools.repeat(universe_size, count)),
-                         (cls.mask, map(full.__and__, keys)))
+                         (cls.mask, map(operator.and_, keys, itertools.repeat(full, count))))
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexSet is immutable")

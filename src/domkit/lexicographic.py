@@ -180,12 +180,13 @@ class ProductSet:
         is responsible for the precondition, which is what lets the product
         enumerator skip the public constructor's sort and per-pair checks.
         The sets are built by :func:`graphs._bulk_new` and share one shape
-        tuple.
+        tuple; their masks come from ``operator.and_`` mapped over the keys
+        and a repeated ``full``, as in :meth:`graphs.VertexSet._wrap`.
         """
         full = (1 << (base_n * fiber_n)) - 1
         count = len(keys)
         return _bulk_new(cls, count, (cls._shape, itertools.repeat((base_n, fiber_n), count)),
-                         (cls.mask, map(full.__and__, keys)))
+                         (cls.mask, map(operator.and_, keys, itertools.repeat(full, count))))
 
     @classmethod
     def from_flat(cls, product: ProductGraph, flat: VertexSet) -> "ProductSet":

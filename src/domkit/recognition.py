@@ -237,10 +237,11 @@ def is_well_dominated_bounded_k(
     which ``all_minimal_transversals_have_size`` decides in polynomial time
     for fixed ``k``; its oversized minimal transversal is the large witness.
 
-    ``_cover`` is internal to :func:`recognize`: the mask of the minimum
-    dominating set its own search found, taken as is instead of searched for
-    again.  Passing it here, rather than to a separate function, keeps every
-    dispatch to this recognizer a call of this function.
+    ``_cover`` is internal to :func:`recognize` and :func:`_factor_report`:
+    the mask of the minimum dominating set their own search found, taken as
+    is instead of searched for again.  Passing it here, rather than to a
+    separate function, keeps every dispatch to this recognizer a call of
+    this function.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, not {k}")
@@ -284,6 +285,24 @@ def recognize(graph: Graph, cap: int | None = None) -> RecognitionReport:
     if cover.bit_count() == 2:
         return is_well_dominated_gamma2(graph, cap)
     return is_well_dominated_bounded_k(graph, _cover=cover)
+
+
+def _factor_report(graph: Graph, cap: int | None) -> RecognitionReport:
+    """The report :func:`is_well_dominated_lex` reads for one factor.
+
+    A positive verdict is read only for its domination number, so a
+    well-dominated factor of domination number two is decided by the
+    bounded-size test, polynomial at k = 2, instead of the triangle-pair
+    scan that :func:`recognize` dispatches it to.  Every other factor is
+    passed to :func:`recognize`, whose witnesses the product witnesses are
+    built from.
+    """
+    cover = _domination_cover(graph, BOUNDED_K_REACH, cap)
+    if cover is not None and cover.bit_count() == 2:
+        report = is_well_dominated_bounded_k(graph, _cover=cover)
+        if report.verdict:
+            return report
+    return recognize(graph, cap)
 
 
 def _lowest_universal(graph: Graph) -> int:
@@ -394,13 +413,21 @@ def is_well_dominated_lex(
     component is complete and the fiber graph well-dominated with domination
     number two.  Single-vertex base components contribute a plain fiber copy
     and only require the fiber graph to be well-dominated.
+
+    The fiber, and each base component of two or more vertices when the
+    fiber is complete, is decided by :func:`_factor_report`: a
+    well-dominated factor of domination number two by the bounded-size
+    test, every other factor by :func:`recognize`, whose dispatch and
+    witnesses are unchanged.  So the triangle-pair scan runs only on a
+    factor of domination number two that is not well-dominated, whose
+    witnesses the product witnesses are built from.
     """
     if base.n < 2 or fiber.n < 2:
         raise ValueError("both factors must have at least two vertices")
     _check_cap(base.n, cap)
     _check_cap(fiber.n, cap)
 
-    fiber_report = recognize(fiber, cap)
+    fiber_report = _factor_report(fiber, cap)
     fiber_complete = is_complete(fiber)
     fiber_gamma = fiber_report.gamma
 
@@ -417,7 +444,7 @@ def is_well_dominated_lex(
             condition = "fiber copy" if ok else None
         else:
             if fiber_complete:
-                sub_report = recognize(sub, cap)
+                sub_report = _factor_report(sub, cap)
             cond_base_wd = sub_report is not None and sub_report.verdict
             cond_fiber_wd2 = (
                 is_complete(sub) and fiber_report.verdict and fiber_gamma == 2

@@ -12,6 +12,8 @@ import pytest
 import domkit
 import domkit.hypergraphs
 
+from domkit import bruteforce
+from domkit.cli import main
 from domkit.domination import EnumerationCapExceeded, gamma, is_minimal_dominating
 from domkit.families import (
     complete_graph,
@@ -22,7 +24,7 @@ from domkit.families import (
     path_graph,
     random_graph,
 )
-from domkit.graphs import Graph
+from domkit.graphs import Graph, complement, write_graph
 from domkit.lexicographic import lex_product
 from domkit.recognition import (
     BOUNDED_K_REACH,
@@ -274,6 +276,72 @@ class TestLexMethod:
             got = is_well_dominated_lex(base, fiber)
             want = is_well_dominated_enum(lex_product(base, fiber).graph)
             assert got.verdict == want.verdict
+
+
+def _cocycle(n):
+    return complement(cycle_graph(n))
+
+
+def test_well_dominated_gamma2_factors_skip_the_scan(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the triangle-pair scan ran")
+
+    monkeypatch.setattr("domkit.recognition.is_well_dominated_gamma2", refuse)
+    monkeypatch.setattr("domkit.recognition.induces_c6_complement", refuse)
+    for base, fiber in ((_cocycle(10), complete_graph(3)), (complete_graph(4), _cocycle(8)),
+                        (_cocycle(8), complete_graph(2))):
+        report = is_well_dominated_lex(base, fiber)
+        assert report.verdict and report.method == "lex_formula"
+    paths = []
+    for name, g in (("coC10", _cocycle(10)), ("k3", complete_graph(3))):
+        path = tmp_path / f"{name}.el"
+        path.write_text(write_graph(g))
+        paths.append(str(path))
+    assert main(["well-dominated", "--lex", *paths]) == 0
+    assert "verdict: well-dominated" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("base", [_cocycle(6), random_graph(12, Random(12007), 0.75)],
+                         ids=["prism", "gnp12-p0.75-s12007"])
+def test_gamma2_negative_base_keeps_recognize_witnesses(base):
+    want = recognize(base)
+    assert want.method == "gamma2" and not want.verdict
+    report = is_well_dominated_lex(base, complete_graph(2))
+    assert not report.verdict
+    # a complete fiber pairs each base witness vertex with fiber vertex 0
+    got = {tuple(map(tuple, report.notes[key])) for key in ("witness_small_pairs",
+                                                            "witness_large_pairs")}
+    assert got == {tuple((x, 0) for x in w) for w in (want.witness_small, want.witness_large)}
+
+
+# gamma = 2 factors with triangles, beyond the 4-vertex factors of
+# ``verification.check_product_recognition``; every flattened product has at
+# most 24 vertices
+GAMMA2_TRIANGLE_PAIRS = [
+    (_cocycle(6), complete_graph(2)),
+    (_cocycle(7), complete_graph(2)),
+    (_cocycle(8), complete_graph(2)),
+    (complete_graph(2), _cocycle(6)),
+    (path_graph(3), _cocycle(6)),
+    (complete_graph(3), _cocycle(7)),
+    # negatives: a violating triangle pair, an independent triple, and both
+    (random_graph(12, Random(12007), 0.75), complete_graph(2)),
+    (random_graph(12, Random(12006), 0.75), complete_graph(2)),
+    (random_graph(10, Random(12006), 0.7), complete_graph(2)),
+]
+
+
+@pytest.mark.parametrize("base, fiber", GAMMA2_TRIANGLE_PAIRS)
+def test_gamma2_triangle_factors_match_flat_enumeration(base, fiber):
+    flat = lex_product(base, fiber).graph
+    assert flat.n <= 24
+    report = is_well_dominated_lex(base, fiber)
+    assert report.verdict == is_well_dominated_enum(flat, cap=flat.n).verdict
+    if not report.verdict:
+        small, large = report.witness_small, report.witness_large
+        assert len(small) != len(large)
+        assert bruteforce.is_minimal_dominating(flat, small)
+        assert bruteforce.is_minimal_dominating(flat, large)
 
 
 def test_lex_witnesses_never_build_the_flattened_product(monkeypatch):
